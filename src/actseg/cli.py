@@ -208,7 +208,13 @@ def _cmd_eval(args) -> int:
         raise ValueError("eval expects prediction and ground-truth directories")
     mapping = _load_mapping(args)
     gt_items = dict(_collect(gt_dir, ".txt"))
-    ignore = frozenset(mapping.id_of(n) if mapping else int(n) for n in args.ignore or [])
+    try:
+        ignore = frozenset(mapping.id_of(n) if mapping else int(n) for n in args.ignore or [])
+    except KeyError as exc:
+        raise ValueError(f"--ignore: {exc.args[0]} in {_resolve(args.mapping)}") from None
+    except ValueError:
+        raise ValueError(f"--ignore: without --mapping, class ids must be integers, "
+                         f"got {' '.join(args.ignore)}") from None
     opts = EvalOptions(boundary_tolerance=args.boundary_tolerance, ignore=ignore)
 
     def load_pair(vid: str):

@@ -234,7 +234,6 @@ class DetectConfig:
     num_classes: int
     b_intrv: int | str = AUTO
     dim_reduce: int | None = None
-    dtw_unit: SimilarityUnit = SimilarityUnit.SCALAR_SERIES
 
     def __post_init__(self):
         if self.num_classes < 2:

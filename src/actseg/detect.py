@@ -16,7 +16,9 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .core import AUTO, BoundarySet, DetectConfig, FeatureSequence, LabelSequence
-from .similarity import Metric, SimilarityUnit, block_similarity, dtw, kmeans
+# dtw and block_similarity are unused here but stay bound: bench/spans.py
+# wraps actseg.detect.dtw, .kmeans and .block_similarity by name.
+from .similarity import Metric, block_similarity, dtw, kmeans, scalar_series_dtw  # noqa: F401
 
 MeanSide = Literal["below", "above"]
 
@@ -33,25 +35,16 @@ class MethodProposals:
     resolved_b_intrv: int | None = None
 
 
-def frame_scores(feat: FeatureSequence, metric: Metric,
-                 unit: SimilarityUnit = SimilarityUnit.SCALAR_SERIES,
-                 window: int = 1) -> np.ndarray:
+def frame_scores(feat: FeatureSequence, metric: Metric) -> np.ndarray:
     """Length-(T-1) series where score[i] compares frames i and i+1.
 
-    Cosine compares the two D-vectors directly. DTW under SCALAR_SERIES
-    treats each frame's D values as a 1-D series; under MEANFRAME it
-    degenerates to the Euclidean distance. window > 1 compares the blocks
-    of up to `window` frames on either side of the gap instead.
+    Cosine compares the two D-vectors directly. DTW treats each frame's D
+    values as a 1-D series, so its cost per pair grows as D^2.
     """
     values = feat.values
     total = feat.frames
     if total < 2:
         raise ValueError(f"need at least 2 frames to score, got {total}")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if window > 1:
-        return np.array([_block_score(values, i, window, metric, unit)
-                         for i in range(total - 1)])
 
     left, right = values[:-1], values[1:]
     if metric is Metric.COSINE:
@@ -65,21 +58,7 @@ def frame_scores(feat: FeatureSequence, metric: Metric,
                           RuntimeWarning, stacklevel=2)
             scores[degenerate] = 0.0
         return scores
-    if unit is SimilarityUnit.SCALAR_SERIES:
-        return np.array([dtw(left[i][:, None], right[i][:, None])
-                         for i in range(total - 1)])
-    # MEANFRAME and FLATTEN coincide for single frames: Euclidean distance.
-    return np.linalg.norm(values[1:] - values[:-1], axis=1)
-
-
-def _block_score(values: np.ndarray, i: int, window: int,
-                 metric: Metric, unit: SimilarityUnit) -> float:
-    w = min(window, i + 1, values.shape[0] - 1 - i)
-    lb = values[i + 1 - w:i + 1]
-    rb = values[i + 1:i + 1 + w]
-    if w > 1 and unit is SimilarityUnit.SCALAR_SERIES:
-        unit = SimilarityUnit.FLATTEN
-    return block_similarity(lb, rb, unit, metric)
+    return scalar_series_dtw(left, right)
 
 
 def mean_filter(scores: np.ndarray, keep: MeanSide) -> BoundarySet:
@@ -176,7 +155,7 @@ def detect(feat: FeatureSequence, cfg: DetectConfig,
     clu_raw = cluster_bounds(work, cfg.num_classes, seed)
     cos_scores = frame_scores(work, Metric.COSINE)
     cos_raw = mean_filter(cos_scores, "below")
-    dtw_scores = frame_scores(work, Metric.DTW, cfg.dtw_unit)
+    dtw_scores = frame_scores(work, Metric.DTW)
     dtw_raw = mean_filter(dtw_scores, "above")
 
     if cfg.b_intrv == AUTO:

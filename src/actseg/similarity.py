@@ -13,6 +13,11 @@ from enum import Enum
 
 import numpy as np
 
+# Working-set budget of the batched kernels: float64 cost cells per DTW
+# chunk, and difference rows per k-means seeding block. About 256 pairs per
+# chunk at D=64 and one at D=2048; 512 rows per block at D=2048.
+_BATCH_BYTES = 8 << 20
+
 
 class SimilarityUnit(Enum):
     """How a multi-frame block is presented to a similarity metric."""
@@ -78,17 +83,64 @@ def dtw(a, b) -> float:
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dtw: element dims differ ({a.shape[1]} vs {b.shape[1]})")
     cost = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
-    # Row-wise DP. Within a row the recurrence unrolls to a running minimum
-    # over "enter column k from above, then move right", which vectorises:
-    # D[i,j] = S[j] + cummin_k(min(prev[k], prev[k-1]) - S[k-1]).
-    prev = np.cumsum(cost[0])
-    inf = np.float64(np.inf)
-    for i in range(1, cost.shape[0]):
-        s = np.cumsum(cost[i])
-        best_above = np.minimum(prev, np.concatenate(([inf], prev[:-1])))
-        entry = best_above - np.concatenate(([0.0], s[:-1]))
-        prev = s + np.minimum.accumulate(entry)
-    return float(prev[-1])
+    return float(_dtw_recurrence(cost[None])[0])
+
+
+def scalar_series_dtw(left, right) -> np.ndarray:
+    """DTW cost of each row pair, each row read as a 1-D series of D scalars.
+
+    out[i] equals dtw(left[i][:, None], right[i][:, None]) bit for bit:
+    the pairs run through the same recurrence, a chunk of pairs at a time,
+    each chunk holding about _BATCH_BYTES of float64 cost cells.
+    """
+    left = np.asarray(left, dtype=np.float64)
+    right = np.asarray(right, dtype=np.float64)
+    if left.ndim != 2 or left.shape != right.shape:
+        raise ValueError(f"scalar_series_dtw needs two equal (n, D) arrays, "
+                         f"got {left.shape} vs {right.shape}")
+    n, dim = left.shape
+    if dim == 0:
+        raise ValueError("dtw: empty sequence")
+    chunk = _batch_rows(dim * dim)
+    out = np.empty(n)
+    buf = np.empty((min(chunk, n), dim, dim))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        cost = buf[:stop - start]
+        np.subtract(left[start:stop, :, None], right[start:stop, None, :], out=cost)
+        # sqrt of the square, as dtw() computes it, not abs: they differ
+        # where the square underflows.
+        np.square(cost, out=cost)
+        np.sqrt(cost, out=cost)
+        out[start:stop] = _dtw_recurrence(cost)
+    return out
+
+
+def _batch_rows(cells_per_row: int) -> int:
+    """Rows of `cells_per_row` float64 cells that fit in _BATCH_BYTES (at least 1)."""
+    return max(1, _BATCH_BYTES // (8 * cells_per_row))
+
+
+def _dtw_recurrence(cost: np.ndarray) -> np.ndarray:
+    """Accumulated cost at the far corner of each (n, m) grid of a
+    (batch, n, m) step-cost array. Overwrites `cost` with row cumsums.
+
+    Row-wise DP. Within a row the recurrence unrolls to a running minimum
+    over "enter column k from above, then move right", which vectorises:
+    D[i,j] = S[j] + cummin_k(min(prev[k], prev[k-1]) - S[k-1]), where S is
+    the row's cumulative step cost. Column 0 reduces to prev[0].
+    """
+    sums = np.cumsum(cost, axis=2, out=cost)
+    prev = sums[:, 0].copy()
+    entry = np.empty_like(prev)
+    for i in range(1, sums.shape[1]):
+        s = sums[:, i]
+        entry[:, 0] = prev[:, 0]
+        np.minimum(prev[:, 1:], prev[:, :-1], out=entry[:, 1:])
+        np.subtract(entry[:, 1:], s[:, :-1], out=entry[:, 1:])
+        np.minimum.accumulate(entry, axis=1, out=entry)
+        np.add(s, entry, out=prev)
+    return prev[:, -1]
 
 
 def kmeans(points, k: int, seed: int, max_iter: int = 100, tol: float = 1e-4,
@@ -98,8 +150,10 @@ def kmeans(points, k: int, seed: int, max_iter: int = 100, tol: float = 1e-4,
     Deterministic for a given (points, k, seed). Cluster ids are renumbered
     by order of first appearance, so labels[0] is always 0. A single run by
     default; `restarts` > 1 keeps the assignment with the lowest inertia.
+    Points are read in C order, so the result does not depend on how the
+    caller's array is laid out in memory.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
     n = pts.shape[0]
@@ -121,12 +175,7 @@ def kmeans(points, k: int, seed: int, max_iter: int = 100, tol: float = 1e-4,
 def _lloyd(pts: np.ndarray, k: int, rng: np.random.Generator,
            max_iter: int, tol: float):
     n = pts.shape[0]
-    centroids = np.empty((k, pts.shape[1]))
-    centroids[0] = pts[rng.integers(n)]
-    d2 = ((pts - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        centroids[j] = pts[int(np.argmax(d2))]
-        d2 = np.minimum(d2, ((pts - centroids[j]) ** 2).sum(axis=1))
+    centroids = pts[_farthest_points(pts, int(rng.integers(n)), k)]
 
     labels = np.full(n, -1, dtype=np.int64)
     inertia = np.inf
@@ -149,6 +198,40 @@ def _lloyd(pts: np.ndarray, k: int, rng: np.random.Generator,
     labels = np.argmin(dists, axis=1)
     inertia = float(np.take_along_axis(dists, labels[:, None], axis=1).sum())
     return labels, centroids, max(inertia, 0.0)
+
+
+def _farthest_points(pts: np.ndarray, first: int, k: int) -> list[int]:
+    """Row indices of k farthest-point seeds, starting from row `first`.
+
+    Each further seed is the row whose squared distance to its nearest
+    seed so far is largest (ties: lowest row).
+    """
+    n, dim = pts.shape
+    diff = np.empty((min(_batch_rows(dim), n), dim))
+    dist = np.empty(n)
+    nearest = np.full(n, np.inf)
+    seeds = [first]
+    for _ in range(1, k):
+        _row_sq_dists(pts, pts[seeds[-1]], diff, dist)
+        np.minimum(nearest, dist, out=nearest)
+        seeds.append(int(np.argmax(nearest)))
+    return seeds
+
+
+def _row_sq_dists(pts: np.ndarray, c: np.ndarray, diff: np.ndarray,
+                  out: np.ndarray) -> None:
+    """out[i] = ((pts[i] - c) ** 2).sum(), in row blocks of diff's length.
+
+    pts must be C-contiguous: NumPy then sums each row of the one-shot
+    expression pairwise along the row, as it sums each contiguous block row
+    here, so every sum is the same to the last bit.
+    """
+    rows = diff.shape[0]
+    for start in range(0, pts.shape[0], rows):
+        block = diff[:min(rows, pts.shape[0] - start)]
+        np.subtract(pts[start:start + rows], c, out=block)
+        np.square(block, out=block)
+        block.sum(axis=1, out=out[start:start + rows])
 
 
 def _sq_dists(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:

@@ -167,3 +167,35 @@ def test_repeat_runs_bit_identical(synth_dir, tmp_path):
     for vid in ("synth_000", "synth_001", "synth_002"):
         assert (tmp_path / "one" / f"{vid}.txt").read_bytes() == \
             (tmp_path / "two" / f"{vid}.txt").read_bytes()
+
+
+def test_eval_ignore_unknown_name_exit_2(synth_dir, capsys):
+    gt = str(synth_dir / "groundTruth")
+    mapping = synth_dir / "mapping.txt"
+    code = main(["eval", gt, gt, "--mapping", str(mapping), "--ignore", "no_such_action"])
+    assert code == 2
+    assert f"unknown class name 'no_such_action' in {mapping}" in capsys.readouterr().err
+    code = main(["eval", gt, gt, "--pred-format", "ids", "--ignore", "action_00"])
+    assert code == 2
+    assert "--ignore: without --mapping, class ids must be integers, got action_00" \
+        in capsys.readouterr().err
+
+
+def test_jobs_outputs_identical(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(data), "--count", "4", "--segments", "5",
+                 "--dim", "48", "--min-len", "60", "--max-len", "120",
+                 "--sigma", "0.3", "--perturb", "5", "--seed", "7"]) == 0
+    outputs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["detect", str(data / "features"), "--num-classes", "5",
+                     "--b-intrv", "20", "--jobs", jobs, "--out-bounds", str(out / "bounds"),
+                     "--out-labels", str(out / "labels")]) == 0
+        assert main(["correct", str(data / "features"), str(data / "predictions"),
+                     "--mapping", str(data / "mapping.txt"), "--jobs", jobs,
+                     "--out", str(out / "corrected"), "--report", str(out / "report")]) == 0
+        outputs[jobs] = {p.relative_to(out): p.read_bytes()
+                         for p in sorted(out.rglob("*")) if p.is_file()}
+    assert len(outputs["1"]) == 16
+    assert outputs["1"] == outputs["2"]

@@ -5,7 +5,7 @@ from actseg.core import AUTO, BoundarySet, DetectConfig, FeatureSequence
 from actseg.detect import (MethodProposals, auto_b_intrv, cluster_bounds,
                            detect, frame_scores, mean_filter, merge_mean,
                            remove_close, segment_labels)
-from actseg.similarity import Metric, SimilarityUnit
+from actseg.similarity import Metric
 from actseg.synth import SynthSpec, generate
 
 
@@ -43,19 +43,6 @@ def test_two_frames_single_score():
 def test_single_frame_errors():
     with pytest.raises(ValueError, match="at least 2 frames"):
         frame_scores(FeatureSequence(np.ones((1, 3))), Metric.COSINE)
-
-
-def test_meanframe_dtw_is_euclidean():
-    feat = FeatureSequence(np.array([[0.0, 0.0], [3.0, 4.0]]))
-    scores = frame_scores(feat, Metric.DTW, SimilarityUnit.MEANFRAME)
-    assert scores[0] == pytest.approx(5.0)
-
-
-def test_windowed_scores_run():
-    feat, bounds = step_features([10, 10], seed=2)
-    scores = frame_scores(feat, Metric.DTW, SimilarityUnit.FLATTEN, window=3)
-    assert scores.shape == (19,)
-    assert int(np.argmax(scores)) == bounds.indices[0] - 1
 
 
 # ------------------------------------------------------------- mean_filter

@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from actseg.similarity import (Metric, SimilarityUnit, block_similarity,
-                               cosine, dtw, kmeans, transition_index)
+from actseg.similarity import (Metric, SimilarityUnit, _batch_rows, _farthest_points,
+                               _row_sq_dists, block_similarity, cosine, dtw, kmeans,
+                               scalar_series_dtw, transition_index)
 
 
 # ------------------------------------------------------------------ cosine
@@ -118,6 +122,38 @@ def test_dtw_errors():
         dtw([[1, 2]], [[1, 2, 3]])
 
 
+# ------------------------------------------------- batched scalar-series dtw
+
+def test_dtw_chunk_sizes():
+    assert _batch_rows(64 * 64) == 256
+    assert _batch_rows(2048 * 2048) == 1
+
+
+@st.composite
+def row_pairs(draw):
+    """(2, n, D) pairs; at D=256 and 362 (chunks of 16 and 8 pairs) n sits
+    on either side of a chunk edge."""
+    dim = draw(st.sampled_from([1, 3, 256, 362]))
+    chunk = _batch_rows(dim * dim)
+    sizes = [1, chunk - 1, chunk, chunk + 1] if chunk <= 16 else [1, 2, 5]
+    n = draw(st.sampled_from(sizes))
+    return draw(arrays(np.float64, (2, n, dim),
+                       elements=st.floats(-1e3, 1e3, allow_nan=False)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(row_pairs())
+def test_scalar_series_dtw_equals_per_pair_dtw(pair):
+    left, right = pair
+    want = np.array([dtw(l[:, None], r[:, None]) for l, r in zip(left, right)])
+    assert np.array_equal(scalar_series_dtw(left, right), want)
+
+
+def test_scalar_series_dtw_rejects_mismatch():
+    with pytest.raises(ValueError, match="equal"):
+        scalar_series_dtw(np.zeros((3, 4)), np.zeros((3, 5)))
+
+
 # ------------------------------------------------------------------ kmeans
 
 def test_kmeans_separable():
@@ -171,6 +207,29 @@ def test_kmeans_too_few_points():
 def test_kmeans_constant_points_no_crash():
     assignment = kmeans(np.ones((6, 2)), 2, seed=0)
     assert assignment.labels[0] == 0
+
+
+def one_shot_seeds(pts, first, k):
+    """Farthest-point seeding with full-size temporaries, as a reference."""
+    seeds = [first]
+    d2 = ((pts - pts[first]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        seeds.append(int(np.argmax(d2)))
+        d2 = np.minimum(d2, ((pts - pts[seeds[-1]]) ** 2).sum(axis=1))
+    return seeds
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_blocked_seeding_matches_one_shot(offset):
+    dim = 2048
+    rows = _batch_rows(dim)  # 512
+    n = rows + offset
+    rng = np.random.default_rng(n)
+    pts = rng.normal(size=(n, dim)) * rng.uniform(0.5, 2.0, size=(n, 1))
+    assert _farthest_points(pts, 7, 12) == one_shot_seeds(pts, 7, 12)
+    got = np.empty(n)
+    _row_sq_dists(pts, pts[3], np.empty((min(rows, n), dim)), got)
+    assert np.array_equal(got, ((pts - pts[3]) ** 2).sum(axis=1))
 
 
 # ------------------------------------------------------- transition_index

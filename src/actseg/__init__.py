@@ -20,9 +20,8 @@ from .metrics import (EvalOptions, EvalResult, boundary_f1, edit_score,
                       greedy_label_match, hungarian_label_match)
 from .postprocess import (PredictionSet, SmoothConfig, auto_s_win, smooth,
                           vote)
-from .similarity import (ClusterAssignment, Metric, SimilarityUnit,
-                         block_similarity, cosine, dtw, kmeans,
-                         transition_index)
+from .similarity import (ClusterAssignment, Metric, block_similarity, cosine,
+                         dtw, kmeans, transition_index)
 from .synth import SynthSpec, generate, perturb_boundaries
 
 __version__ = "0.1.0"
@@ -40,8 +39,8 @@ __all__ = [
     "evaluate_batch", "f1_at", "frame_accuracy", "greedy_label_match",
     "hungarian_label_match",
     "PredictionSet", "SmoothConfig", "auto_s_win", "smooth", "vote",
-    "ClusterAssignment", "Metric", "SimilarityUnit", "block_similarity",
-    "cosine", "dtw", "kmeans", "transition_index",
+    "ClusterAssignment", "Metric", "block_similarity", "cosine", "dtw",
+    "kmeans", "transition_index",
     "SynthSpec", "generate", "perturb_boundaries",
     "__version__",
 ]

@@ -13,8 +13,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .similarity import SimilarityUnit
-
 AUTO = "auto"
 
 
@@ -30,7 +28,7 @@ class FeatureSequence:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        arr = np.ascontiguousarray(self.values, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"features must be a T x D matrix with T, D >= 1, got shape {arr.shape}")
         if not np.isfinite(arr).all():
@@ -190,14 +188,11 @@ class CorrectionConfig:
 
     b_win is the feature window around a candidate boundary, b_seg the
     sub-segment granularity inside it; either may be AUTO to derive sizes
-    from the spread of boundary gaps. The unit fields control how
-    segment-level similarity flattens frame blocks.
+    from the spread of boundary gaps.
     """
 
     b_win: int | str = 16
     b_seg: int | str = 4
-    cosine_unit: SimilarityUnit = SimilarityUnit.FLATTEN
-    dtw_unit: SimilarityUnit = SimilarityUnit.FLATTEN
     max_iterations: int = 16
 
     def __post_init__(self):

@@ -69,11 +69,16 @@ def auto_window_params(bounds: BoundarySet) -> tuple[int, int]:
     ratio = int(round(float(gaps.max()) / float(gaps.min())))
     b_win = min(64, max(4, ratio))
     b_win -= b_win % 2
+    return b_win, _auto_b_seg(b_win)
+
+
+def _auto_b_seg(b_win: int) -> int:
+    """b_win divided by its smallest divisor > 1, lowered until it divides b_win."""
     divisor = next(d for d in range(2, b_win + 1) if b_win % d == 0)
     b_seg = max(2, b_win // divisor)
     while b_win % b_seg:
         b_seg -= 1
-    return b_win, b_seg
+    return b_seg
 
 
 def resolve_window_params(cfg: CorrectionConfig, bounds: BoundarySet) -> tuple[int, int]:
@@ -90,25 +95,22 @@ def resolve_window_params(cfg: CorrectionConfig, bounds: BoundarySet) -> tuple[i
         return b_win, b_seg
     if cfg.b_seg == AUTO:
         b_win = int(cfg.b_win)
-        divisor = next(d for d in range(2, b_win + 1) if b_win % d == 0)
-        b_seg = max(2, b_win // divisor)
-        while b_win % b_seg:
-            b_seg -= 1
-        return b_win, b_seg
+        return b_win, _auto_b_seg(b_win)
     return int(cfg.b_win), int(cfg.b_seg)
 
 
-def _clamped_window(boundary: int, prev_b: int | None, next_b: int | None,
-                    total: int, b_win: int, b_seg: int) -> WindowState | None:
-    """Window around a boundary, kept inside the neighbour midpoints.
+def _clamped_window(idx: tuple[int, ...], pos: int, total: int,
+                    b_win: int, b_seg: int) -> WindowState | None:
+    """Window around boundary idx[pos], kept inside the neighbour midpoints.
 
     Clamping to midpoints stops adjacent boundaries' windows from
     overlapping and swapping segment content. Returns None when the
     clamped extent is too narrow to refine or the boundary is not
     strictly inside it.
     """
-    lo = 0 if prev_b is None else (prev_b + boundary) // 2
-    hi = total if next_b is None else (boundary + next_b) // 2
+    boundary = idx[pos]
+    lo = 0 if pos == 0 else (idx[pos - 1] + boundary) // 2
+    hi = total if pos + 1 == len(idx) else (boundary + idx[pos + 1]) // 2
     lo = max(lo, boundary - b_win // 2, 0)
     hi = min(hi, boundary + b_win // 2, total)
     width = ((hi - lo) // b_seg) * b_seg
@@ -144,9 +146,9 @@ def _refine_window(values: np.ndarray, start: int, end: int, b_seg: int,
         if m < 2:
             break
         segs = [values[start + j * b_seg: start + (j + 1) * b_seg] for j in range(m)]
-        cos = [block_similarity(segs[j], segs[j + 1], cfg.cosine_unit, Metric.COSINE)
+        cos = [block_similarity(segs[j], segs[j + 1], Metric.COSINE)
                for j in range(m - 1)]
-        dtws = [block_similarity(segs[j], segs[j + 1], cfg.dtw_unit, Metric.DTW)
+        dtws = [block_similarity(segs[j], segs[j + 1], Metric.DTW)
                 for j in range(m - 1)]
         p_cos = int(np.argmin(cos)) + 1
         p_dtw = int(np.argmax(dtws)) + 1
@@ -196,11 +198,8 @@ def correct_boundary(feat: FeatureSequence, labels: LabelSequence, boundary: int
     if boundary not in bounds:
         raise ValueError(f"frame {boundary} is not a boundary of the label sequence")
     b_win, b_seg = resolve_window_params(cfg, bounds)
-    idx = bounds.indices
-    pos = idx.index(boundary)
-    prev_b = idx[pos - 1] if pos > 0 else None
-    next_b = idx[pos + 1] if pos + 1 < len(idx) else None
-    window = _clamped_window(boundary, prev_b, next_b, feat.frames, b_win, b_seg)
+    window = _clamped_window(bounds.indices, bounds.indices.index(boundary), feat.frames,
+                             b_win, b_seg)
     if window is None:
         return boundary
     return _correct_in_window(feat.values, boundary, window, cfg, seed).corrected
@@ -225,11 +224,8 @@ def correct_all(feat: FeatureSequence, labels: LabelSequence,
     original = labels.labels
     out = original.copy()
     records: list[BoundaryRecord] = []
-    idx = bounds.indices
-    for pos, boundary in enumerate(idx):
-        prev_b = idx[pos - 1] if pos > 0 else None
-        next_b = idx[pos + 1] if pos + 1 < len(idx) else None
-        window = _clamped_window(boundary, prev_b, next_b, feat.frames, b_win, b_seg)
+    for pos, boundary in enumerate(bounds.indices):
+        window = _clamped_window(bounds.indices, pos, feat.frames, b_win, b_seg)
         if window is None:
             records.append(BoundaryRecord(boundary, boundary, 0, ()))
             continue

@@ -75,6 +75,9 @@ def read_array(path) -> np.ndarray:
         shape = tuple(int(x) for x in header["shape"])
     except (ValueError, SyntaxError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: unparsable NPY header at byte 10 ({exc})") from exc
+    if any(n < 0 for n in shape):
+        raise FormatError(f"{path}: negative dimension in NPY header at byte 10, "
+                          f"shape {shape}")
     if descr not in SUPPORTED_DESCRS:
         raise FormatError(f"{path}: unsupported dtype {descr!r} "
                           f"(supported: {', '.join(SUPPORTED_DESCRS)})")
@@ -82,12 +85,12 @@ def read_array(path) -> np.ndarray:
         raise FormatError(f"{path}: Fortran-order arrays are not supported; "
                           "re-save the array in C order")
     dtype = np.dtype(descr)
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    payload = raw[header_end:]
-    if len(payload) < expected:
+    count = int(np.prod(shape, dtype=np.int64))
+    expected, available = count * dtype.itemsize, len(raw) - header_end
+    if available < expected:
         raise FormatError(f"{path}: truncated data at byte {header_end} "
-                          f"(expected {expected} bytes, got {len(payload)})")
-    return np.frombuffer(payload[:expected], dtype=dtype).reshape(shape)
+                          f"(expected {expected} bytes, got {available})")
+    return np.frombuffer(raw, dtype, count, offset=header_end).reshape(shape)
 
 
 def write_array(path, array: np.ndarray, descr: str = "<f8") -> None:
@@ -122,10 +125,10 @@ def load_features(path, orientation: str = AUTO_ORIENT) -> FeatureSequence:
                                  and arr.shape[0] in KNOWN_FEATURE_WIDTHS
                                  and arr.shape[1] not in KNOWN_FEATURE_WIDTHS):
         arr = arr.T
-    if not np.isfinite(arr).all():
-        t, d = map(int, np.argwhere(~np.isfinite(arr))[0])
-        raise DataError(f"{path}: non-finite value at frame {t}, dim {d}")
-    return FeatureSequence(arr)
+    try:
+        return FeatureSequence(arr)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_features(path, feat: FeatureSequence, descr: str = "<f8") -> None:
@@ -219,6 +222,8 @@ def load_labels(path, mapping: ClassMapping | None = None) -> LabelSequence:
             except ValueError:
                 raise DataError(f"{path}:{i + 1}: expected an integer class id, "
                                 f"got {name!r}") from None
+            if ids[i] < 0:
+                raise DataError(f"{path}:{i + 1}: negative class id {name!r}")
     class_count = len(mapping) if mapping is not None else int(ids.max()) + 1
     return LabelSequence(ids, class_count)
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import BoundarySet, LabelSequence, Segment, boundaries_of, to_timeline
 
@@ -126,6 +125,7 @@ def segment_match_counts(pred: LabelSequence, gt: LabelSequence, threshold: floa
                 feasible[i, j] = 1.0
     tp = 0
     if feasible.any():
+        from scipy.optimize import linear_sum_assignment  # slow import, needed only here
         rows, cols = linear_sum_assignment(feasible, maximize=True)
         tp = int(feasible[rows, cols].sum())
     return tp, len(pred_segs) - tp, len(gt_segs) - tp
@@ -184,6 +184,7 @@ def hungarian_label_match(pred: LabelSequence, gt: LabelSequence) -> LabelSequen
         raise ValueError(f"length mismatch: pred {len(pred)} vs gt {len(gt)}")
     overlap = np.zeros((pred.class_count, gt.class_count))
     np.add.at(overlap, (pred.labels, gt.labels), 1.0)
+    from scipy.optimize import linear_sum_assignment  # slow import, needed only here
     rows, cols = linear_sum_assignment(overlap, maximize=True)
     mapping = np.full(pred.class_count, gt.class_count, dtype=np.int64)
     mapping[rows] = cols

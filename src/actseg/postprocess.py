@@ -94,20 +94,6 @@ def vote(preds: PredictionSet) -> LabelSequence:
     return LabelSequence(out, classes)
 
 
-def sum_probability_vote(probabilities) -> LabelSequence:
-    """Baseline fusion over (T, C) score matrices: argmax of the sum.
-
-    Comparison baseline only; the product path is class-level voting.
-    """
-    mats = [np.asarray(p, dtype=np.float64) for p in probabilities]
-    if len(mats) < 2:
-        raise ValueError("need at least 2 probability matrices")
-    if any(m.shape != mats[0].shape for m in mats):
-        raise ValueError("probability matrices must share one shape")
-    total = np.sum(mats, axis=0)
-    return LabelSequence(np.argmax(total, axis=1), mats[0].shape[1])
-
-
 def _majority(window: np.ndarray) -> int:
     counts = np.bincount(window)
     best = counts.max()

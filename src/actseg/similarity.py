@@ -19,14 +19,6 @@ import numpy as np
 _BATCH_BYTES = 8 << 20
 
 
-class SimilarityUnit(Enum):
-    """How a multi-frame block is presented to a similarity metric."""
-
-    FLATTEN = "flatten"              # concatenate frames row-major into one vector
-    MEANFRAME = "meanframe"          # average frames into a single D-vector
-    SCALAR_SERIES = "scalar-series"  # treat a single frame's D values as a 1-D series
-
-
 class Metric(Enum):
     COSINE = "cosine"
     DTW = "dtw"
@@ -143,15 +135,14 @@ def _dtw_recurrence(cost: np.ndarray) -> np.ndarray:
     return prev[:, -1]
 
 
-def kmeans(points, k: int, seed: int, max_iter: int = 100, tol: float = 1e-4,
-           restarts: int = 1) -> ClusterAssignment:
+def kmeans(points, k: int, seed: int, max_iter: int = 100,
+           tol: float = 1e-4) -> ClusterAssignment:
     """Seeded Lloyd k-means with farthest-point initialisation.
 
     Deterministic for a given (points, k, seed). Cluster ids are renumbered
-    by order of first appearance, so labels[0] is always 0. A single run by
-    default; `restarts` > 1 keeps the assignment with the lowest inertia.
-    Points are read in C order, so the result does not depend on how the
-    caller's array is laid out in memory.
+    by order of first appearance, so labels[0] is always 0. Points are read
+    in C order, so the result does not depend on how the caller's array is
+    laid out in memory.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -161,13 +152,7 @@ def kmeans(points, k: int, seed: int, max_iter: int = 100, tol: float = 1e-4,
         raise ValueError(f"k must be >= 1, got {k}")
     if n < k:
         raise ValueError(f"too few points: n={n} < k={k}")
-    best = None
-    for r in range(restarts):
-        labels, centroids, inertia = _lloyd(pts, k, np.random.default_rng(seed + r),
-                                            max_iter, tol)
-        if best is None or inertia < best[2]:
-            best = (labels, centroids, inertia)
-    labels, centroids, inertia = best
+    labels, centroids, inertia = _lloyd(pts, k, np.random.default_rng(seed), max_iter, tol)
     labels, centroids = _relabel_first_occurrence(labels, centroids, k)
     return ClusterAssignment(labels=labels, centroids=centroids, inertia=float(inertia))
 
@@ -176,11 +161,12 @@ def _lloyd(pts: np.ndarray, k: int, rng: np.random.Generator,
            max_iter: int, tol: float):
     n = pts.shape[0]
     centroids = pts[_farthest_points(pts, int(rng.integers(n)), k)]
+    pt_sq = (pts ** 2).sum(axis=1)  # squared norms, fixed for every step
 
     labels = np.full(n, -1, dtype=np.int64)
     inertia = np.inf
     for _ in range(max_iter):
-        dists = _sq_dists(pts, centroids)
+        dists = _sq_dists(pts, pt_sq, centroids)
         new_labels = np.argmin(dists, axis=1)
         new_inertia = float(np.take_along_axis(dists, new_labels[:, None], axis=1).sum())
         if np.array_equal(new_labels, labels):
@@ -194,7 +180,7 @@ def _lloyd(pts: np.ndarray, k: int, rng: np.random.Generator,
                 centroids[j] = members.mean(axis=0)
         if converged:
             break
-    dists = _sq_dists(pts, centroids)
+    dists = _sq_dists(pts, pt_sq, centroids)
     labels = np.argmin(dists, axis=1)
     inertia = float(np.take_along_axis(dists, labels[:, None], axis=1).sum())
     return labels, centroids, max(inertia, 0.0)
@@ -234,8 +220,8 @@ def _row_sq_dists(pts: np.ndarray, c: np.ndarray, diff: np.ndarray,
         block.sum(axis=1, out=out[start:start + rows])
 
 
-def _sq_dists(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = ((pts ** 2).sum(axis=1)[:, None] + (centroids ** 2).sum(axis=1)[None, :]
+def _sq_dists(pts: np.ndarray, pt_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    d2 = (pt_sq[:, None] + (centroids ** 2).sum(axis=1)[None, :]
           - 2.0 * pts @ centroids.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
@@ -281,13 +267,12 @@ def transition_index(binary_labels) -> int | None:
     return best_idx
 
 
-def block_similarity(left, right, unit: SimilarityUnit, metric: Metric) -> float:
-    """Similarity between two frame blocks under the chosen unit and metric.
+def block_similarity(left, right, metric: Metric) -> float:
+    """Similarity between two frame blocks.
 
-    FLATTEN+COSINE compares the concatenated block vectors (blocks must be
-    the same length); MEANFRAME+COSINE compares frame means; DTW runs over
-    the blocks' frame sequences. SCALAR_SERIES is only legal for
-    single-frame blocks and treats the frame's D values as a 1-D series.
+    COSINE compares the blocks' frames concatenated row-major into one
+    vector each, so the blocks must be the same length; DTW runs over the
+    blocks' frame sequences.
     """
     lb = _as_sequence(left)
     rb = _as_sequence(right)
@@ -295,21 +280,9 @@ def block_similarity(left, right, unit: SimilarityUnit, metric: Metric) -> float
         raise ValueError("block_similarity: empty block")
     if lb.shape[1] != rb.shape[1]:
         raise ValueError(f"block dims differ ({lb.shape[1]} vs {rb.shape[1]})")
-    if unit is SimilarityUnit.SCALAR_SERIES and (lb.shape[0] != 1 or rb.shape[0] != 1):
-        raise ValueError("SCALAR_SERIES is only legal for single-frame blocks")
-
     if metric is Metric.COSINE:
-        if unit is SimilarityUnit.FLATTEN:
-            if lb.shape[0] != rb.shape[0]:
-                raise ValueError("FLATTEN cosine needs equal block lengths, "
-                                 f"got {lb.shape[0]} vs {rb.shape[0]}")
-            return cosine(lb.ravel(), rb.ravel())
-        if unit is SimilarityUnit.MEANFRAME:
-            return cosine(lb.mean(axis=0), rb.mean(axis=0))
-        return cosine(lb[0], rb[0])
-
-    if unit is SimilarityUnit.SCALAR_SERIES:
-        return dtw(lb[0][:, None], rb[0][:, None])
-    if unit is SimilarityUnit.MEANFRAME:
-        return dtw(lb.mean(axis=0, keepdims=True), rb.mean(axis=0, keepdims=True))
+        if lb.shape[0] != rb.shape[0]:
+            raise ValueError("cosine needs equal block lengths, "
+                             f"got {lb.shape[0]} vs {rb.shape[0]}")
+        return cosine(lb.ravel(), rb.ravel())
     return dtw(lb, rb)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import actseg
 from actseg import dataio
 from actseg.cli import main
 
@@ -119,6 +125,44 @@ def test_missing_file_exit_2(tmp_path):
     code = main(["detect", str(tmp_path / "nope.npy"), "--num-classes", "2",
                  "--out-bounds", str(tmp_path / "b.txt")])
     assert code == 2
+
+
+def _negative_dim_npy(tmp_path):
+    path = tmp_path / "bad.npy"
+    dataio.write_array(path, np.ones((2, 3)))
+    path.write_bytes(path.read_bytes().replace(b"(2, 3)", b"(-2,3)"))  # same header length
+    return path, ["detect", str(path), "--num-classes", "2",
+                  "--out-bounds", str(tmp_path / "b.txt")], "byte 10"
+
+
+def _zero_frame_npy(tmp_path):
+    path = tmp_path / "empty.npy"
+    dataio.write_array(path, np.ones((2048, 0)))
+    return path, ["detect", str(path), "--num-classes", "2",
+                  "--out-bounds", str(tmp_path / "b.txt")], "T, D >= 1"
+
+
+def _negative_label_id(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("0\n-1\n")
+    return path, ["smooth", str(path), "--s-win", "2", "--out", str(tmp_path / "s.txt")], \
+        f"{path}:2: negative class id"
+
+
+@pytest.mark.parametrize("bad_input", [_negative_dim_npy, _zero_frame_npy, _negative_label_id])
+def test_bad_input_exit_2_names_file(tmp_path, capsys, bad_input):
+    path, argv, detail = bad_input(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}" in err and detail in err
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the CLI's start-up; only label matching needs it
+    src = str(Path(actseg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, actseg.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_smooth_single_file_auto(synth_dir, tmp_path):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from actseg import dataio
 from actseg.core import BoundarySet, FeatureSequence, LabelSequence
@@ -108,6 +111,46 @@ def test_non_finite_rejected(tmp_path):
     dataio.write_array(path, arr)
     with pytest.raises(dataio.DataError, match="frame 2, dim 1"):
         dataio.load_features(path, dataio.T_BY_D)
+
+
+@st.composite
+def _feature_files(draw):
+    """(on-disk array, orientation): finite <f4/<f8 values, T x D or D x T."""
+    frames, dim = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    descr = draw(st.sampled_from(dataio.SUPPORTED_DESCRS))
+    orientation = draw(st.sampled_from((dataio.T_BY_D, dataio.D_BY_T)))
+    shape = (frames, dim) if orientation == dataio.T_BY_D else (dim, frames)
+    width = 32 if descr == "<f4" else 64
+    values = arrays(np.dtype(descr), shape,
+                    elements=st.floats(allow_nan=False, allow_infinity=False, width=width))
+    return draw(values), orientation
+
+
+@settings(max_examples=60, deadline=None)
+@given(_feature_files())
+def test_load_features_equals_numpy(tmp_path_factory, case):
+    arr, orientation = case
+    path = tmp_path_factory.mktemp("load") / "f.npy"
+    np.save(path, arr)
+    want = np.load(path).astype(np.float64)
+    if orientation == dataio.D_BY_T:
+        want = want.T
+    got = dataio.load_features(path, orientation).values
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_feature_files(), st.data())
+def test_truncated_file_error_names_path(tmp_path_factory, case, data):
+    arr, orientation = case
+    path = tmp_path_factory.mktemp("cut") / "f.npy"
+    np.save(path, arr)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")])
+    with pytest.raises(dataio.FormatError) as info:
+        dataio.load_features(path, orientation)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_labels_round_trip(tmp_path):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from actseg.core import LabelSequence
-from actseg.postprocess import (PredictionSet, SmoothConfig, auto_s_win,
-                                smooth, sum_probability_vote, vote)
+from actseg.postprocess import PredictionSet, SmoothConfig, auto_s_win, smooth, vote
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -66,13 +65,6 @@ def test_vote_membership_and_majority_soundness():
             top = counts.max()
             if (counts == top).sum() == 1:
                 assert fused.labels[t] == counts.argmax()
-
-
-def test_sum_probability_vote():
-    p1 = np.array([[0.9, 0.1], [0.4, 0.6]])
-    p2 = np.array([[0.2, 0.8], [0.3, 0.7]])
-    fused = sum_probability_vote([p1, p2])
-    assert fused.labels.tolist() == [0, 1]
 
 
 # ------------------------------------------------------------------ smooth

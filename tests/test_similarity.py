@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from actseg.similarity import (Metric, SimilarityUnit, _batch_rows, _farthest_points,
+from actseg.similarity import (Metric, _batch_rows, _farthest_points,
                                _row_sq_dists, block_similarity, cosine, dtw, kmeans,
                                scalar_series_dtw, transition_index)
 
@@ -267,30 +267,18 @@ def test_transition_exhaustive_small():
 
 def test_block_identical_cosine():
     block = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert block_similarity(block, block, SimilarityUnit.FLATTEN, Metric.COSINE) == pytest.approx(1.0)
+    assert block_similarity(block, block, Metric.COSINE) == pytest.approx(1.0)
 
 
 def test_block_identical_dtw():
     block = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert block_similarity(block, block, SimilarityUnit.FLATTEN, Metric.DTW) == 0.0
+    assert block_similarity(block, block, Metric.DTW) == 0.0
 
 
 def test_block_orthogonal_single_frames():
-    assert block_similarity([[1, 0]], [[0, 1]], SimilarityUnit.FLATTEN, Metric.COSINE) == 0.0
+    assert block_similarity([[1, 0]], [[0, 1]], Metric.COSINE) == 0.0
 
 
 def test_block_flatten_needs_equal_lengths():
     with pytest.raises(ValueError, match="equal block lengths"):
-        block_similarity([[1, 0]], [[0, 1], [1, 1]], SimilarityUnit.FLATTEN, Metric.COSINE)
-
-
-def test_block_scalar_series_single_frame_only():
-    with pytest.raises(ValueError, match="single-frame"):
-        block_similarity([[1, 0], [0, 1]], [[0, 1], [1, 0]],
-                         SimilarityUnit.SCALAR_SERIES, Metric.DTW)
-
-
-def test_block_meanframe_dtw_is_euclidean():
-    left = np.array([[0.0, 0.0], [2.0, 2.0]])   # mean (1, 1)
-    right = np.array([[4.0, 1.0], [4.0, 1.0]])  # mean (4, 1)
-    assert block_similarity(left, right, SimilarityUnit.MEANFRAME, Metric.DTW) == pytest.approx(3.0)
+        block_similarity([[1, 0]], [[0, 1], [1, 1]], Metric.COSINE)

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import dataio
-from .core import AUTO, CorrectionConfig, DetectConfig
+from .core import AUTO, CorrectionConfig, DetectConfig, LabelSequence
 from .correction import correct_all
 from .detect import detect, segment_labels
 from .metrics import (EvalOptions, EvalResult, evaluate_batch,
@@ -185,6 +185,10 @@ def _cmd_smooth(args) -> int:
 def _cmd_vote(args) -> int:
     mapping = _load_mapping(args)
     sources = tuple(dataio.load_labels(_resolve(p), mapping) for p in args.predictions)
+    if mapping is None:
+        # Each id file infers its class count from its own largest id.
+        classes = max(s.class_count for s in sources)
+        sources = tuple(LabelSequence(s.labels, classes) for s in sources)
     fused = vote(PredictionSet(sources, trusted_index=args.trusted))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -23,12 +23,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FeatureSequence:
-    """T x D matrix of per-frame feature activations; finite values only."""
+    """T x D matrix of per-frame feature activations; finite values only.
+
+    Holds its own read-only float64 C-order copy, so the caller's array
+    stays writeable and later writes to it do not reach the sequence.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
+        arr = np.array(self.values, dtype=np.float64, order="C")
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"features must be a T x D matrix with T, D >= 1, got shape {arr.shape}")
         if not np.isfinite(arr).all():

@@ -145,13 +145,9 @@ def _refine_window(values: np.ndarray, start: int, end: int, b_seg: int,
         m = (end - start) // b_seg
         if m < 2:
             break
-        segs = [values[start + j * b_seg: start + (j + 1) * b_seg] for j in range(m)]
-        cos = [block_similarity(segs[j], segs[j + 1], Metric.COSINE)
-               for j in range(m - 1)]
-        dtws = [block_similarity(segs[j], segs[j + 1], Metric.DTW)
-                for j in range(m - 1)]
-        p_cos = int(np.argmin(cos)) + 1
-        p_dtw = int(np.argmax(dtws)) + 1
+        segs = values[start:start + m * b_seg].reshape(m, b_seg, values.shape[1])
+        p_cos = int(np.argmin(block_similarity(segs, Metric.COSINE))) + 1
+        p_dtw = int(np.argmax(block_similarity(segs, Metric.DTW))) + 1
         assignment = kmeans(values[start:end], 2, seed)
         p_clu = transition_index(_segment_majorities(assignment.labels, b_seg))
         history.append(IterationProposals(p_cos, p_dtw, p_clu))

@@ -222,6 +222,9 @@ def load_labels(path, mapping: ClassMapping | None = None) -> LabelSequence:
             except ValueError:
                 raise DataError(f"{path}:{i + 1}: expected an integer class id, "
                                 f"got {name!r}") from None
+            except OverflowError:
+                raise DataError(f"{path}:{i + 1}: class id {name!r} does not fit "
+                                "in int64") from None
             if ids[i] < 0:
                 raise DataError(f"{path}:{i + 1}: negative class id {name!r}")
     class_count = len(mapping) if mapping is not None else int(ids.max()) + 1

@@ -9,16 +9,15 @@ by averaging nearby survivors into the final boundary list.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
 import numpy as np
 
 from .core import AUTO, BoundarySet, DetectConfig, FeatureSequence, LabelSequence
-# dtw and block_similarity are unused here but stay bound: bench/spans.py
-# wraps actseg.detect.dtw, .kmeans and .block_similarity by name.
-from .similarity import Metric, block_similarity, dtw, kmeans, scalar_series_dtw  # noqa: F401
+# dtw is unused here but stays bound: bench/spans.py wraps actseg.detect.dtw
+# by name.
+from .similarity import Metric, block_similarity, dtw, kmeans  # noqa: F401
 
 MeanSide = Literal["below", "above"]
 
@@ -38,27 +37,17 @@ class MethodProposals:
 def frame_scores(feat: FeatureSequence, metric: Metric) -> np.ndarray:
     """Length-(T-1) series where score[i] compares frames i and i+1.
 
-    Cosine compares the two D-vectors directly. DTW treats each frame's D
-    values as a 1-D series, so its cost per pair grows as D^2.
+    Both run the consecutive-block kernel with one frame per block: cosine
+    compares the two D-vectors directly, DTW treats each frame's D values
+    as a 1-D series, so its cost per pair grows as D^2.
     """
     values = feat.values
     total = feat.frames
     if total < 2:
         raise ValueError(f"need at least 2 frames to score, got {total}")
 
-    left, right = values[:-1], values[1:]
-    if metric is Metric.COSINE:
-        norms = np.linalg.norm(values, axis=1)
-        denom = norms[:-1] * norms[1:]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scores = np.einsum("ij,ij->i", left, right) / denom
-        degenerate = denom == 0.0
-        if degenerate.any():
-            warnings.warn("zero-norm frames in cosine scoring, treated as 0.0",
-                          RuntimeWarning, stacklevel=2)
-            scores[degenerate] = 0.0
-        return scores
-    return scalar_series_dtw(left, right)
+    blocks = values[:, None, :] if metric is Metric.COSINE else values[:, :, None]
+    return block_similarity(blocks, metric)
 
 
 def mean_filter(scores: np.ndarray, keep: MeanSide) -> BoundarySet:

@@ -1,8 +1,11 @@
 """Similarity and grouping kernels shared by the correction and detection passes.
 
-Four primitives: cosine similarity, dynamic time warping, seeded k-means,
-and the transition detector that locates the action change inside a binary
-cluster labelling. All functions are pure and deterministic.
+Four primitives: the consecutive-block similarity kernel (cosine or
+dynamic time warping between each block and the next, which detection runs
+over frames and correction over sub-segments of a window), seeded k-means,
+the transition detector that locates the action change inside a binary
+cluster labelling, and `dtw` on one pair of sequences, the reference the
+batched kernel is tested against. All functions are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ from enum import Enum
 
 import numpy as np
 
-# Working-set budget of the batched kernels: float64 cost cells per DTW
-# chunk, and difference rows per k-means seeding block. About 256 pairs per
-# chunk at D=64 and one at D=2048; 512 rows per block at D=2048.
+# Working-set budget of the batched kernels: float64 difference cells per
+# block-DTW chunk, and difference rows per k-means seeding block. About 256
+# frame pairs per chunk at D=64 and one at D=2048; 512 rows per block at
+# D=2048.
 _BATCH_BYTES = 8 << 20
 
 
@@ -31,25 +35,6 @@ class ClusterAssignment:
     labels: np.ndarray     # (n,) int cluster ids in [0, k)
     centroids: np.ndarray  # (k, D)
     inertia: float         # sum of squared distances to assigned centroids
-
-
-def cosine(a, b) -> float:
-    """Cosine similarity of two equal-length vectors, in [-1, 1].
-
-    A zero-norm operand yields 0.0 with a RuntimeWarning instead of
-    aborting: padded or silent frames must not kill a whole video.
-    """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.size < 1 or a.shape != b.shape:
-        raise ValueError(f"cosine needs equal-length non-empty vectors, got {a.size} vs {b.size}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        warnings.warn("zero-norm vector in cosine similarity, returning 0.0",
-                      RuntimeWarning, stacklevel=2)
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
 
 
 def _as_sequence(x) -> np.ndarray:
@@ -76,36 +61,6 @@ def dtw(a, b) -> float:
         raise ValueError(f"dtw: element dims differ ({a.shape[1]} vs {b.shape[1]})")
     cost = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
     return float(_dtw_recurrence(cost[None])[0])
-
-
-def scalar_series_dtw(left, right) -> np.ndarray:
-    """DTW cost of each row pair, each row read as a 1-D series of D scalars.
-
-    out[i] equals dtw(left[i][:, None], right[i][:, None]) bit for bit:
-    the pairs run through the same recurrence, a chunk of pairs at a time,
-    each chunk holding about _BATCH_BYTES of float64 cost cells.
-    """
-    left = np.asarray(left, dtype=np.float64)
-    right = np.asarray(right, dtype=np.float64)
-    if left.ndim != 2 or left.shape != right.shape:
-        raise ValueError(f"scalar_series_dtw needs two equal (n, D) arrays, "
-                         f"got {left.shape} vs {right.shape}")
-    n, dim = left.shape
-    if dim == 0:
-        raise ValueError("dtw: empty sequence")
-    chunk = _batch_rows(dim * dim)
-    out = np.empty(n)
-    buf = np.empty((min(chunk, n), dim, dim))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        cost = buf[:stop - start]
-        np.subtract(left[start:stop, :, None], right[start:stop, None, :], out=cost)
-        # sqrt of the square, as dtw() computes it, not abs: they differ
-        # where the square underflows.
-        np.square(cost, out=cost)
-        np.sqrt(cost, out=cost)
-        out[start:stop] = _dtw_recurrence(cost)
-    return out
 
 
 def _batch_rows(cells_per_row: int) -> int:
@@ -267,22 +222,47 @@ def transition_index(binary_labels) -> int | None:
     return best_idx
 
 
-def block_similarity(left, right, metric: Metric) -> float:
-    """Similarity between two frame blocks.
+def block_similarity(blocks, metric: Metric) -> np.ndarray:
+    """Scores of the m-1 consecutive pairs in an (m, s, d) stack of blocks.
 
-    COSINE compares the blocks' frames concatenated row-major into one
-    vector each, so the blocks must be the same length; DTW runs over the
-    blocks' frame sequences.
+    out[j] compares blocks[j] with blocks[j+1]. COSINE compares the two
+    blocks flattened row-major; a zero-norm block scores 0.0 with one
+    RuntimeWarning per call instead of aborting, so padded or silent
+    frames do not kill a whole video. DTW aligns the blocks' s d-vectors
+    and equals dtw(blocks[j], blocks[j+1]) bit for bit: the pairs run
+    through the same recurrence, a chunk of pairs at a time, each chunk
+    holding about _BATCH_BYTES of float64 difference cells.
     """
-    lb = _as_sequence(left)
-    rb = _as_sequence(right)
-    if lb.shape[0] == 0 or rb.shape[0] == 0:
-        raise ValueError("block_similarity: empty block")
-    if lb.shape[1] != rb.shape[1]:
-        raise ValueError(f"block dims differ ({lb.shape[1]} vs {rb.shape[1]})")
+    blocks = np.asarray(blocks, dtype=np.float64)
+    if blocks.ndim != 3 or blocks.shape[0] < 2 or 0 in blocks.shape:
+        raise ValueError("block_similarity needs an (m, s, d) stack of equal blocks "
+                         f"with m >= 2 and s, d >= 1, got shape {blocks.shape}")
     if metric is Metric.COSINE:
-        if lb.shape[0] != rb.shape[0]:
-            raise ValueError("cosine needs equal block lengths, "
-                             f"got {lb.shape[0]} vs {rb.shape[0]}")
-        return cosine(lb.ravel(), rb.ravel())
-    return dtw(lb, rb)
+        flat = blocks.reshape(blocks.shape[0], -1)
+        norms = np.linalg.norm(flat, axis=1)
+        denom = norms[:-1] * norms[1:]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scores = np.einsum("ij,ij->i", flat[:-1], flat[1:]) / denom
+        degenerate = denom == 0.0
+        if degenerate.any():
+            warnings.warn("zero-norm block in cosine similarity, scored 0.0",
+                          RuntimeWarning, stacklevel=2)
+            scores[degenerate] = 0.0
+        return scores
+    m, s, d = blocks.shape
+    pairs = m - 1
+    chunk = _batch_rows(s * s * d)
+    out = np.empty(pairs)
+    diff = np.empty((min(chunk, pairs), s, s, d))
+    for start in range(0, pairs, chunk):
+        stop = min(start + chunk, pairs)
+        cells = diff[:stop - start]
+        np.subtract(blocks[start:stop, :, None], blocks[start + 1:stop + 1, None], out=cells)
+        np.square(cells, out=cells)
+        # Summing a length-1 axis changes no value but costs ~20% at d == 1.
+        cost = cells[..., 0] if d == 1 else cells.sum(axis=3)
+        # sqrt of the square, as dtw() computes it, not abs: they differ
+        # where the square underflows.
+        np.sqrt(cost, out=cost)
+        out[start:stop] = _dtw_recurrence(cost)
+    return out

@@ -96,6 +96,16 @@ def test_vote_identical_inputs(synth_dir, tmp_path):
     assert dataio.load_labels(out, mapping) == dataio.load_labels(pred, mapping)
 
 
+def test_vote_id_files_widen_to_largest_class_count(tmp_path):
+    paths = []
+    for i, ids in enumerate(("0 1 2", "0 1 5", "0 1 2")):
+        paths.append(tmp_path / f"p{i}.txt")
+        paths[-1].write_text(ids.replace(" ", "\n") + "\n")
+    out = tmp_path / "voted.txt"
+    assert main(["vote", *map(str, paths), "--out", str(out)]) == 0
+    assert out.read_text() == "0\n1\n2\n"
+
+
 def test_vote_requires_two_inputs(synth_dir, tmp_path):
     pred = synth_dir / "predictions" / "synth_000.txt"
     code = main(["vote", str(pred), "--out", str(tmp_path / "v.txt"),
@@ -149,7 +159,15 @@ def _negative_label_id(tmp_path):
         f"{path}:2: negative class id"
 
 
-@pytest.mark.parametrize("bad_input", [_negative_dim_npy, _zero_frame_npy, _negative_label_id])
+def _oversized_label_id(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("0\n99999999999999999999\n")
+    return path, ["smooth", str(path), "--s-win", "2", "--out", str(tmp_path / "s.txt")], \
+        f"{path}:2: class id '99999999999999999999' does not fit in int64"
+
+
+@pytest.mark.parametrize("bad_input", [_negative_dim_npy, _zero_frame_npy, _negative_label_id,
+                                       _oversized_label_id])
 def test_bad_input_exit_2_names_file(tmp_path, capsys, bad_input):
     path, argv, detail = bad_input(tmp_path)
     assert main(argv) == 2

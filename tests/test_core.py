@@ -95,6 +95,16 @@ def test_feature_sequence_validation():
         FeatureSequence(np.zeros(4))
 
 
+def test_feature_sequence_copies_caller_array():
+    for caller in (np.zeros((2, 2)), np.zeros((2, 2), dtype=np.float32),
+                   np.asfortranarray(np.zeros((2, 3)))):
+        feat = FeatureSequence(caller)
+        assert caller.flags.writeable
+        assert not feat.values.flags.writeable and feat.values.flags.c_contiguous
+        caller[0, 0] = 5.0
+        assert feat.values[0, 0] == 0.0
+
+
 def test_values_frozen_after_construction():
     feat = FeatureSequence(np.ones((2, 2)))
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from actseg.core import FeatureSequence
+from actseg.detect import frame_scores
 from actseg.similarity import (Metric, _batch_rows, _farthest_points,
-                               _row_sq_dists, block_similarity, cosine, dtw, kmeans,
-                               scalar_series_dtw, transition_index)
+                               _row_sq_dists, block_similarity, dtw, kmeans,
+                               transition_index)
 
 
-# ------------------------------------------------------------------ cosine
+# ---------------------------------------------------- block_similarity cosine
+
+def cosine(a, b):
+    """Cosine score of one pair, through the block kernel."""
+    pair = np.stack([np.asarray(a, dtype=float), np.asarray(b, dtype=float)])
+    (score,) = block_similarity(pair[:, None, :], Metric.COSINE)
+    return score
+
 
 def test_cosine_identity():
     v = np.array([0.3, -1.2, 4.0])
@@ -38,15 +48,29 @@ def test_cosine_zero_vector_warns_and_returns_zero():
 
 def test_cosine_bounds_random():
     rng = np.random.default_rng(0)
-    for _ in range(300):
-        a = rng.normal(size=5)
-        b = rng.normal(size=5)
-        assert -1.0 - 1e-9 <= cosine(a, b) <= 1.0 + 1e-9
+    scores = block_similarity(rng.normal(size=(300, 2, 5)), Metric.COSINE)
+    assert scores.shape == (299,)
+    assert np.all((-1.0 - 1e-9 <= scores) & (scores <= 1.0 + 1e-9))
 
 
 def test_cosine_rejects_mismatch():
     with pytest.raises(ValueError):
-        cosine([1, 2], [1, 2, 3])
+        block_similarity([[[1, 2]], [[1, 2, 3]]], Metric.COSINE)
+
+
+def test_zero_norm_frame_and_block_score_zero_with_one_warning():
+    # a zero frame or block between live ones: both of its pairs score 0.0
+    frames = FeatureSequence(np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 1.0]]))
+    blocks = np.array([[[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]],
+                       [[3.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 2.0]]])
+    for score, want_zero in ((lambda: frame_scores(frames, Metric.COSINE), [True, True]),
+                             (lambda: block_similarity(blocks, Metric.COSINE),
+                              [True, True, False])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scores = score()
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert list(scores == 0.0) == want_zero
 
 
 # ------------------------------------------------------------------ dtw
@@ -122,7 +146,7 @@ def test_dtw_errors():
         dtw([[1, 2]], [[1, 2, 3]])
 
 
-# ------------------------------------------------- batched scalar-series dtw
+# ------------------------------------------------------- block_similarity dtw
 
 def test_dtw_chunk_sizes():
     assert _batch_rows(64 * 64) == 256
@@ -130,28 +154,32 @@ def test_dtw_chunk_sizes():
 
 
 @st.composite
-def row_pairs(draw):
-    """(2, n, D) pairs; at D=256 and 362 (chunks of 16 and 8 pairs) n sits
-    on either side of a chunk edge."""
-    dim = draw(st.sampled_from([1, 3, 256, 362]))
-    chunk = _batch_rows(dim * dim)
-    sizes = [1, chunk - 1, chunk, chunk + 1] if chunk <= 16 else [1, 2, 5]
-    n = draw(st.sampled_from(sizes))
-    return draw(arrays(np.float64, (2, n, dim),
+def block_stacks(draw):
+    """(m, s, d) stacks. Where a chunk holds at most 16 pairs, m - 1 sits
+    on either side of a chunk edge: at (s, d) = (256, 1) and (362, 1), the
+    frame-as-series shape frame_scores passes, and at (16, 512), a block of
+    frames as correction passes."""
+    s, d = draw(st.sampled_from([(1, 1), (3, 1), (256, 1), (362, 1),
+                                 (2, 3), (4, 7), (16, 512)]))
+    chunk = _batch_rows(s * s * d)
+    pairs = [1, chunk - 1, chunk, chunk + 1] if chunk <= 16 else [1, 2, 5]
+    m = draw(st.sampled_from(pairs)) + 1
+    return draw(arrays(np.float64, (m, s, d),
                        elements=st.floats(-1e3, 1e3, allow_nan=False)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(row_pairs())
-def test_scalar_series_dtw_equals_per_pair_dtw(pair):
-    left, right = pair
-    want = np.array([dtw(l[:, None], r[:, None]) for l, r in zip(left, right)])
-    assert np.array_equal(scalar_series_dtw(left, right), want)
+@given(block_stacks())
+def test_block_dtw_equals_per_pair_dtw(blocks):
+    want = np.array([dtw(blocks[j], blocks[j + 1]) for j in range(len(blocks) - 1)])
+    assert np.array_equal(block_similarity(blocks, Metric.DTW), want)
 
 
-def test_scalar_series_dtw_rejects_mismatch():
-    with pytest.raises(ValueError, match="equal"):
-        scalar_series_dtw(np.zeros((3, 4)), np.zeros((3, 5)))
+def test_block_similarity_rejects_non_stack():
+    for shape in [(4, 3), (1, 2, 2), (2, 0, 3), (2, 3, 0)]:
+        for metric in Metric:
+            with pytest.raises(ValueError, match="stack"):
+                block_similarity(np.zeros(shape), metric)
 
 
 # ------------------------------------------------------------------ kmeans
@@ -267,18 +295,26 @@ def test_transition_exhaustive_small():
 
 def test_block_identical_cosine():
     block = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert block_similarity(block, block, Metric.COSINE) == pytest.approx(1.0)
+    assert block_similarity([block, block], Metric.COSINE)[0] == pytest.approx(1.0)
 
 
 def test_block_identical_dtw():
     block = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert block_similarity(block, block, Metric.DTW) == 0.0
+    assert block_similarity([block, block], Metric.DTW)[0] == 0.0
 
 
 def test_block_orthogonal_single_frames():
-    assert block_similarity([[1, 0]], [[0, 1]], Metric.COSINE) == 0.0
+    assert block_similarity([[[1, 0]], [[0, 1]]], Metric.COSINE)[0] == 0.0
 
 
 def test_block_flatten_needs_equal_lengths():
-    with pytest.raises(ValueError, match="equal block lengths"):
-        block_similarity([[1, 0]], [[0, 1], [1, 1]], Metric.COSINE)
+    with pytest.raises(ValueError):
+        block_similarity([[[1, 0]], [[0, 1], [1, 1]]], Metric.COSINE)
+
+
+def test_block_cosine_flattens_row_major():
+    # the blocks compare as the concatenations [1, 0, 0, 1] and [0, 1, 1, 0]
+    blocks = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]],
+                       [[1.0, 0.0], [1.0, 0.0]]])
+    assert list(block_similarity(blocks, Metric.COSINE)) == \
+        [0.0, pytest.approx(0.5)]

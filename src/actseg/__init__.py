@@ -11,13 +11,13 @@ from .core import (AUTO, BoundarySet, CorrectionConfig, DetectConfig,
                    FeatureSequence, LabelSequence, Segment, SegmentTimeline,
                    boundaries_of, from_boundaries, run_classes, to_timeline)
 from .correction import (BoundaryRecord, CorrectionReport, auto_window_params,
-                         correct_all, correct_boundary)
+                         correct_all)
 from .detect import (MethodProposals, auto_b_intrv, cluster_bounds, detect,
                      frame_scores, mean_filter, merge_mean, remove_close,
                      segment_labels)
 from .metrics import (EvalOptions, EvalResult, boundary_f1, edit_score,
-                      evaluate, evaluate_batch, f1_at, frame_accuracy,
-                      greedy_label_match, hungarian_label_match)
+                      evaluate, evaluate_batch, f1_at, greedy_label_match,
+                      hungarian_label_match)
 from .postprocess import (PredictionSet, SmoothConfig, auto_s_win, smooth,
                           vote)
 from .similarity import (ClusterAssignment, Metric, block_similarity, dtw,
@@ -30,14 +30,12 @@ __all__ = [
     "AUTO", "BoundarySet", "CorrectionConfig", "DetectConfig",
     "FeatureSequence", "LabelSequence", "Segment", "SegmentTimeline",
     "boundaries_of", "from_boundaries", "run_classes", "to_timeline",
-    "BoundaryRecord", "CorrectionReport", "auto_window_params",
-    "correct_all", "correct_boundary",
+    "BoundaryRecord", "CorrectionReport", "auto_window_params", "correct_all",
     "MethodProposals", "auto_b_intrv", "cluster_bounds", "detect",
     "frame_scores", "mean_filter", "merge_mean", "remove_close",
     "segment_labels",
     "EvalOptions", "EvalResult", "boundary_f1", "edit_score", "evaluate",
-    "evaluate_batch", "f1_at", "frame_accuracy", "greedy_label_match",
-    "hungarian_label_match",
+    "evaluate_batch", "f1_at", "greedy_label_match", "hungarian_label_match",
     "PredictionSet", "SmoothConfig", "auto_s_win", "smooth", "vote",
     "ClusterAssignment", "Metric", "block_similarity", "dtw",
     "kmeans", "transition_index",

@@ -20,7 +20,7 @@ from . import dataio
 from .core import AUTO, CorrectionConfig, DetectConfig, LabelSequence
 from .correction import correct_all
 from .detect import detect, segment_labels
-from .metrics import (EvalOptions, EvalResult, evaluate_batch,
+from .metrics import (THRESHOLDS, EvalOptions, EvalResult, evaluate_batch,
                       greedy_label_match, hungarian_label_match, mean_result)
 from .postprocess import PredictionSet, SmoothConfig, auto_s_win, smooth, vote
 from .render import render_svg, render_text
@@ -260,12 +260,12 @@ def _cmd_eval(args) -> int:
 
 
 def _format_table(rows: list[tuple[str, EvalResult]]) -> str:
-    header = f"{'split':<12} {'acc':>7} {'edit':>7} {'f1@10':>7} {'f1@25':>7} {'f1@50':>7} {'bf1':>7}"
+    f1_names = " ".join(f"{f'f1@{int(round(t * 100))}':>7}" for t in THRESHOLDS)
+    header = f"{'split':<12} {'acc':>7} {'edit':>7} {f1_names} {'bf1':>7}"
     lines = [header, "-" * len(header)]
     for name, r in rows:
-        f1 = list(r.f1.values())
-        lines.append(f"{name:<12} {r.acc:>7.2f} {r.edit:>7.2f} "
-                     f"{f1[0]:>7.2f} {f1[1]:>7.2f} {f1[2]:>7.2f} {r.boundary_f1:>7.2f}")
+        f1 = " ".join(f"{r.f1[t]:>7.2f}" for t in THRESHOLDS)
+        lines.append(f"{name:<12} {r.acc:>7.2f} {r.edit:>7.2f} {f1} {r.boundary_f1:>7.2f}")
     return "\n".join(lines)
 
 

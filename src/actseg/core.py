@@ -197,7 +197,6 @@ class CorrectionConfig:
 
     b_win: int | str = 16
     b_seg: int | str = 4
-    max_iterations: int = 16
 
     def __post_init__(self):
         for name, value in (("b_win", self.b_win), ("b_seg", self.b_seg)):
@@ -215,8 +214,6 @@ class CorrectionConfig:
                 if self.b_win % self.b_seg:
                     raise ValueError(f"b_win must be divisible by b_seg "
                                      f"({self.b_win} % {self.b_seg} != 0)")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,13 @@ using three similarity votes until the true transition frame is isolated.
 Per boundary, a window of frames is cut into equal sub-segments. Cosine
 similarity (lowest wins), DTW cost (highest wins), and a binary clustering
 of the window each nominate the sub-segment where the action changes; the
-window is narrowed to the span of the nominations and the process repeats.
-A final binary clustering of the surviving frames pins the exact frame.
+window is narrowed to the span of the nominations and the process repeats,
+at most _MAX_ITERATIONS times. A final binary clustering of the surviving
+frames pins the exact frame.
+
+`correct_all` is the one correction path. Every window is computed from the
+original boundaries and the features alone, so the corrected frame of one
+boundary is its record in the report: `correct_all(...)[1].records[pos]`.
 """
 
 from __future__ import annotations
@@ -17,6 +22,9 @@ import numpy as np
 from .core import (AUTO, BoundarySet, CorrectionConfig, FeatureSequence,
                    LabelSequence, boundaries_of)
 from .similarity import Metric, block_similarity, kmeans, transition_index
+
+# Refinement steps per boundary; each step narrows the window or stops.
+_MAX_ITERATIONS = 16
 
 
 @dataclass(frozen=True)
@@ -131,17 +139,16 @@ def _segment_majorities(cluster_labels: np.ndarray, b_seg: int) -> np.ndarray:
     return out
 
 
-def _refine_window(values: np.ndarray, start: int, end: int, b_seg: int,
-                   cfg: CorrectionConfig, seed: int):
+def _refine_window(values: np.ndarray, start: int, end: int, b_seg: int, seed: int):
     """Shrink [start, end) around the likeliest transition sub-segment.
 
     Stops when the window cannot be narrowed further (width <= 2 * b_seg
-    with no progress) or after cfg.max_iterations. Nominations index the
+    with no progress) or after _MAX_ITERATIONS. Nominations index the
     first sub-segment of the new action, matching transition_index.
     """
     history: list[IterationProposals] = []
     iterations = 0
-    while end - start > b_seg and iterations < cfg.max_iterations:
+    while end - start > b_seg and iterations < _MAX_ITERATIONS:
         m = (end - start) // b_seg
         if m < 2:
             break
@@ -167,9 +174,9 @@ def _refine_window(values: np.ndarray, start: int, end: int, b_seg: int,
 
 
 def _correct_in_window(values: np.ndarray, boundary: int, window: WindowState,
-                       cfg: CorrectionConfig, seed: int) -> BoundaryRecord:
+                       seed: int) -> BoundaryRecord:
     start, end, iterations, history = _refine_window(values, window.start, window.end,
-                                                     window.segment_size, cfg, seed)
+                                                     window.segment_size, seed)
     corrected = boundary
     if end - start >= 2:
         assignment = kmeans(values[start:end], 2, seed)
@@ -177,28 +184,6 @@ def _correct_in_window(values: np.ndarray, boundary: int, window: WindowState,
         if idx is not None:
             corrected = start + idx
     return BoundaryRecord(boundary, corrected, iterations, history, window)
-
-
-def correct_boundary(feat: FeatureSequence, labels: LabelSequence, boundary: int,
-                     cfg: CorrectionConfig | None = None, seed: int = 0) -> int:
-    """Corrected frame index for one predicted boundary.
-
-    The boundary must exist in the labels. Returns the input index
-    unchanged when the window is degenerate or no transition is found.
-    """
-    cfg = cfg or CorrectionConfig()
-    if len(labels) != feat.frames:
-        raise ValueError(f"labels length {len(labels)} != feature frames {feat.frames}")
-    bounds = boundaries_of(labels)
-    boundary = int(boundary)
-    if boundary not in bounds:
-        raise ValueError(f"frame {boundary} is not a boundary of the label sequence")
-    b_win, b_seg = resolve_window_params(cfg, bounds)
-    window = _clamped_window(bounds.indices, bounds.indices.index(boundary), feat.frames,
-                             b_win, b_seg)
-    if window is None:
-        return boundary
-    return _correct_in_window(feat.values, boundary, window, cfg, seed).corrected
 
 
 def correct_all(feat: FeatureSequence, labels: LabelSequence,
@@ -225,7 +210,7 @@ def correct_all(feat: FeatureSequence, labels: LabelSequence,
         if window is None:
             records.append(BoundaryRecord(boundary, boundary, 0, ()))
             continue
-        record = _correct_in_window(feat.values, boundary, window, cfg, seed)
+        record = _correct_in_window(feat.values, boundary, window, seed)
         records.append(record)
         ws, we = window.start, window.end
         corrected = record.corrected

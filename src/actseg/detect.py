@@ -166,7 +166,10 @@ def segment_labels(feat: FeatureSequence, bounds: BoundarySet, num_classes: int,
 
     Gives detection output a frame-wise form that class-based metrics can
     score after optimal label matching. Adjacent segments may share an id.
+    Every boundary must lie in [1, T - 1].
     """
+    if bounds and bounds.indices[-1] >= feat.frames:
+        raise ValueError(f"boundary {bounds.indices[-1]} outside [1, {feat.frames - 1}]")
     assignment = kmeans(feat.values, num_classes, seed)
     edges = [0, *bounds.indices, feat.frames]
     out = np.empty(feat.frames, dtype=np.int64)

@@ -1,6 +1,10 @@
 """Evaluation suite: frame accuracy, segmental edit score, segmental F1 at
-IoU thresholds, boundary-level F1, and optimal label matching for
-unsupervised outputs.
+the IoU thresholds in THRESHOLDS, boundary-level F1, and optimal label
+matching for unsupervised outputs.
+
+`evaluate_batch` is the one scoring path: `evaluate` scores a single video
+as a batch of one, so a video's score and its share of a corpus score are
+computed by the same code.
 
 Segmental F1 counts a predicted segment as a true positive when it can be
 assigned one-to-one to an unconsumed ground-truth segment of the same class
@@ -17,22 +21,19 @@ import numpy as np
 
 from .core import BoundarySet, LabelSequence, Segment, boundaries_of, to_timeline
 
-DEFAULT_THRESHOLDS = (0.10, 0.25, 0.50)
+# IoU thresholds of the reported segmental F1 scores (F1@{10,25,50}).
+THRESHOLDS = (0.10, 0.25, 0.50)
 
 
 @dataclass(frozen=True)
 class EvalOptions:
-    """Scoring knobs: IoU thresholds for segmental F1, the frame tolerance
-    for boundary F1, and class ids excluded from accuracy/edit/F1 (for
-    background-style classes)."""
+    """Scoring knobs: the frame tolerance for boundary F1, and class ids
+    excluded from accuracy/edit/F1 (for background-style classes)."""
 
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
     boundary_tolerance: int = 5
     ignore: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if any(not 0.0 < t < 1.0 for t in self.thresholds):
-            raise ValueError(f"thresholds must lie in (0, 1), got {self.thresholds}")
         if self.boundary_tolerance < 0:
             raise ValueError(f"boundary_tolerance must be >= 0, got {self.boundary_tolerance}")
 
@@ -53,13 +54,9 @@ class EvalResult:
         return out
 
 
-def frame_accuracy(pred: LabelSequence, gt: LabelSequence) -> float:
-    """Percentage of frames whose class matches the ground truth."""
+def _check_lengths(pred: LabelSequence, gt: LabelSequence) -> None:
     if len(pred) != len(gt):
         raise ValueError(f"length mismatch: pred {len(pred)} vs gt {len(gt)}")
-    if len(gt) == 0:
-        raise ValueError("empty sequence")
-    return 100.0 * float(np.count_nonzero(pred.labels == gt.labels)) / len(gt)
 
 
 def _levenshtein(a: Sequence[int], b: Sequence[int]) -> int:
@@ -112,8 +109,7 @@ def segment_match_counts(pred: LabelSequence, gt: LabelSequence, threshold: floa
     The assignment maximises the number of (same class, IoU >= threshold)
     pairs, with each ground-truth segment consumed at most once.
     """
-    if len(pred) != len(gt):
-        raise ValueError(f"length mismatch: pred {len(pred)} vs gt {len(gt)}")
+    _check_lengths(pred, gt)
     pred_segs = _segments(pred, ignore)
     gt_segs = _segments(gt, ignore)
     if not pred_segs or not gt_segs:
@@ -173,6 +169,14 @@ def boundary_f1(pred_bounds: BoundarySet, gt_bounds: BoundarySet, tolerance: int
     return _f1_from_counts(*boundary_match_counts(pred_bounds, gt_bounds, tolerance))
 
 
+def _overlap(pred: LabelSequence, gt: LabelSequence) -> np.ndarray:
+    """Frame counts of each (prediction id, ground-truth class) pair."""
+    _check_lengths(pred, gt)
+    overlap = np.zeros((pred.class_count, gt.class_count))
+    np.add.at(overlap, (pred.labels, gt.labels), 1.0)
+    return overlap
+
+
 def hungarian_label_match(pred: LabelSequence, gt: LabelSequence) -> LabelSequence:
     """Relabel arbitrary prediction ids by optimal one-to-one assignment to
     ground-truth classes, maximising total frame overlap.
@@ -180,10 +184,7 @@ def hungarian_label_match(pred: LabelSequence, gt: LabelSequence) -> LabelSequen
     Prediction ids left without a partner map to a reserved extra class
     (gt.class_count), so the result never collides with a real class.
     """
-    if len(pred) != len(gt):
-        raise ValueError(f"length mismatch: pred {len(pred)} vs gt {len(gt)}")
-    overlap = np.zeros((pred.class_count, gt.class_count))
-    np.add.at(overlap, (pred.labels, gt.labels), 1.0)
+    overlap = _overlap(pred, gt)
     from scipy.optimize import linear_sum_assignment  # slow import, needed only here
     rows, cols = linear_sum_assignment(overlap, maximize=True)
     mapping = np.full(pred.class_count, gt.class_count, dtype=np.int64)
@@ -197,34 +198,14 @@ def greedy_label_match(pred: LabelSequence, gt: LabelSequence) -> LabelSequence:
     Many-to-one variant of hungarian_label_match, kept for protocol
     comparisons.
     """
-    if len(pred) != len(gt):
-        raise ValueError(f"length mismatch: pred {len(pred)} vs gt {len(gt)}")
-    overlap = np.zeros((pred.class_count, gt.class_count))
-    np.add.at(overlap, (pred.labels, gt.labels), 1.0)
-    mapping = overlap.argmax(axis=1).astype(np.int64)
+    mapping = _overlap(pred, gt).argmax(axis=1).astype(np.int64)
     return LabelSequence(mapping[pred.labels], gt.class_count + 1)
 
 
 def evaluate(pred: LabelSequence, gt: LabelSequence,
              opts: EvalOptions | None = None) -> EvalResult:
-    """Score one prediction against its ground truth."""
-    opts = opts or EvalOptions()
-    acc = _masked_accuracy(pred, gt, opts.ignore)
-    edit = edit_score(pred, gt, opts.ignore)
-    f1 = {thr: f1_at(pred, gt, thr, opts.ignore) for thr in opts.thresholds}
-    bf1 = boundary_f1(boundaries_of(pred), boundaries_of(gt), opts.boundary_tolerance)
-    return EvalResult(acc=acc, edit=edit, f1=f1, boundary_f1=bf1)
-
-
-def _masked_accuracy(pred: LabelSequence, gt: LabelSequence,
-                     ignore: frozenset[int]) -> float:
-    if len(pred) != len(gt):
-        raise ValueError(f"length mismatch: pred {len(pred)} vs gt {len(gt)}")
-    keep = ~np.isin(gt.labels, list(ignore)) if ignore else np.ones(len(gt), dtype=bool)
-    kept = int(keep.sum())
-    if kept == 0:
-        return 100.0
-    return 100.0 * float(np.count_nonzero(pred.labels[keep] == gt.labels[keep])) / kept
+    """Score one prediction against its ground truth (a batch of one)."""
+    return evaluate_batch([(pred, gt)], opts)
 
 
 def evaluate_batch(pairs: Sequence[tuple[LabelSequence, LabelSequence]],
@@ -241,22 +222,21 @@ def evaluate_batch(pairs: Sequence[tuple[LabelSequence, LabelSequence]],
     correct = 0
     frames = 0
     edits = []
-    seg_counts = {thr: np.zeros(3, dtype=np.int64) for thr in opts.thresholds}
+    seg_counts = {thr: np.zeros(3, dtype=np.int64) for thr in THRESHOLDS}
     bound_counts = np.zeros(3, dtype=np.int64)
     for pred, gt in pairs:
+        _check_lengths(pred, gt)
         keep = (~np.isin(gt.labels, list(opts.ignore)) if opts.ignore
                 else np.ones(len(gt), dtype=bool))
-        if len(pred) != len(gt):
-            raise ValueError(f"length mismatch: pred {len(pred)} vs gt {len(gt)}")
         correct += int(np.count_nonzero((pred.labels == gt.labels) & keep))
         frames += int(keep.sum())
         edits.append(edit_score(pred, gt, opts.ignore))
-        for thr in opts.thresholds:
+        for thr in THRESHOLDS:
             seg_counts[thr] += segment_match_counts(pred, gt, thr, opts.ignore)
         bound_counts += boundary_match_counts(boundaries_of(pred), boundaries_of(gt),
                                               opts.boundary_tolerance)
     acc = 100.0 * correct / frames if frames else 100.0
-    f1 = {thr: _f1_from_counts(*seg_counts[thr]) for thr in opts.thresholds}
+    f1 = {thr: _f1_from_counts(*seg_counts[thr]) for thr in THRESHOLDS}
     return EvalResult(acc=acc, edit=float(np.mean(edits)), f1=f1,
                       boundary_f1=_f1_from_counts(*bound_counts))
 
@@ -265,10 +245,9 @@ def mean_result(results: Sequence[EvalResult]) -> EvalResult:
     """Plain mean of already-aggregated results (e.g. across splits)."""
     if not results:
         raise ValueError("nothing to evaluate")
-    thresholds = list(results[0].f1.keys())
     return EvalResult(
         acc=float(np.mean([r.acc for r in results])),
         edit=float(np.mean([r.edit for r in results])),
-        f1={t: float(np.mean([r.f1[t] for r in results])) for t in thresholds},
+        f1={t: float(np.mean([r.f1[t] for r in results])) for t in THRESHOLDS},
         boundary_f1=float(np.mean([r.boundary_f1 for r in results])),
     )

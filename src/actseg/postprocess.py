@@ -74,24 +74,13 @@ def vote(preds: PredictionSet) -> LabelSequence:
     otherwise the leader voted by the lowest-indexed source wins.
     """
     stack = np.stack([s.labels for s in preds.sources])
-    n, total = stack.shape
-    trusted = stack[preds.trusted_index]
-    classes = preds.sources[0].class_count
-    out = np.empty(total, dtype=np.int64)
-    for t in range(total):
-        counts = np.bincount(stack[:, t], minlength=classes)
-        best = counts.max()
-        leaders = np.flatnonzero(counts == best)
-        if leaders.size == 1:
-            out[t] = leaders[0]
-        elif counts[trusted[t]] == best:
-            out[t] = trusted[t]
-        else:
-            for s in range(n):
-                if counts[stack[s, t]] == best:
-                    out[t] = stack[s, t]
-                    break
-    return LabelSequence(out, classes)
+    # votes[s, t]: how many sources agree with source s at frame t
+    votes = (stack[:, None] == stack[None]).sum(axis=1)
+    leads = votes == votes.max(axis=0)
+    trusted = preds.trusted_index
+    first_leader = stack[leads.argmax(axis=0), np.arange(stack.shape[1])]
+    out = np.where(leads[trusted], stack[trusted], first_leader)
+    return LabelSequence(out, preds.sources[0].class_count)
 
 
 def _majority(window: np.ndarray) -> int:

@@ -22,6 +22,11 @@ import numpy as np
 # D=2048.
 _BATCH_BYTES = 8 << 20
 
+# Lloyd iterations of k-means stop after _KMEANS_MAX_ITER steps, when the
+# labels repeat, or when the inertia changes by less than _KMEANS_TOL.
+_KMEANS_MAX_ITER = 100
+_KMEANS_TOL = 1e-4
+
 
 class Metric(Enum):
     COSINE = "cosine"
@@ -90,8 +95,7 @@ def _dtw_recurrence(cost: np.ndarray) -> np.ndarray:
     return prev[:, -1]
 
 
-def kmeans(points, k: int, seed: int, max_iter: int = 100,
-           tol: float = 1e-4) -> ClusterAssignment:
+def kmeans(points, k: int, seed: int) -> ClusterAssignment:
     """Seeded Lloyd k-means with farthest-point initialisation.
 
     Deterministic for a given (points, k, seed). Cluster ids are renumbered
@@ -107,27 +111,26 @@ def kmeans(points, k: int, seed: int, max_iter: int = 100,
         raise ValueError(f"k must be >= 1, got {k}")
     if n < k:
         raise ValueError(f"too few points: n={n} < k={k}")
-    labels, centroids, inertia = _lloyd(pts, k, np.random.default_rng(seed), max_iter, tol)
+    labels, centroids, inertia = _lloyd(pts, k, np.random.default_rng(seed))
     labels, centroids = _relabel_first_occurrence(labels, centroids, k)
     return ClusterAssignment(labels=labels, centroids=centroids, inertia=float(inertia))
 
 
-def _lloyd(pts: np.ndarray, k: int, rng: np.random.Generator,
-           max_iter: int, tol: float):
+def _lloyd(pts: np.ndarray, k: int, rng: np.random.Generator):
     n = pts.shape[0]
     centroids = pts[_farthest_points(pts, int(rng.integers(n)), k)]
     pt_sq = (pts ** 2).sum(axis=1)  # squared norms, fixed for every step
 
     labels = np.full(n, -1, dtype=np.int64)
     inertia = np.inf
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         dists = _sq_dists(pts, pt_sq, centroids)
         new_labels = np.argmin(dists, axis=1)
         new_inertia = float(np.take_along_axis(dists, new_labels[:, None], axis=1).sum())
         if np.array_equal(new_labels, labels):
             inertia = new_inertia
             break
-        converged = abs(inertia - new_inertia) < tol
+        converged = abs(inertia - new_inertia) < _KMEANS_TOL
         labels, inertia = new_labels, new_inertia
         for j in range(k):
             members = pts[labels == j]

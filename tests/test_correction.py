@@ -1,9 +1,8 @@
 import numpy as np
-import pytest
 
 from actseg.core import (AUTO, BoundarySet, CorrectionConfig, FeatureSequence,
                          LabelSequence, boundaries_of, run_classes)
-from actseg.correction import auto_window_params, correct_all, correct_boundary
+from actseg.correction import auto_window_params, correct_all
 from actseg.synth import SynthSpec, generate, perturb_boundaries
 
 
@@ -11,6 +10,12 @@ def step_video(lengths, dim=6, sigma=0.0, seed=0):
     spec = SynthSpec(dim=dim, segment_lengths=tuple(lengths),
                      noise_sigma=sigma, seed=seed)
     return generate(spec)
+
+
+def corrected_at(feat, labels, boundary, cfg):
+    """Corrected frame of one boundary, read from correct_all's report."""
+    _, report = correct_all(feat, labels, cfg)
+    return next(r.corrected for r in report.records if r.original == boundary)
 
 
 # ------------------------------------------------------ auto_window_params
@@ -31,30 +36,24 @@ def test_auto_params_fallback():
     assert auto_window_params(BoundarySet(())) == (16, 4)
 
 
-# -------------------------------------------------------- correct_boundary
+# ------------------------------------------------ one boundary's record
 
 def test_recovers_step_at_16_from_12():
     feat, labels, _ = step_video([16, 24])
     shifted = LabelSequence(np.repeat([0, 1], [12, 28]), 2)
-    assert correct_boundary(feat, shifted, 12, CorrectionConfig(16, 4)) == 16
+    assert corrected_at(feat, shifted, 12, CorrectionConfig(16, 4)) == 16
 
 
 def test_fixpoint_on_clean_step():
     feat, labels, bounds = step_video([20, 20])
     b = bounds.indices[0]
-    assert correct_boundary(feat, labels, b, CorrectionConfig(16, 4)) == b
+    assert corrected_at(feat, labels, b, CorrectionConfig(16, 4)) == b
 
 
 def test_constant_features_keep_boundary():
     feat = FeatureSequence(np.ones((40, 4)))
     labels = LabelSequence(np.repeat([0, 1], [18, 22]), 2)
-    assert correct_boundary(feat, labels, 18, CorrectionConfig(16, 4)) == 18
-
-
-def test_rejects_non_boundary():
-    feat, labels, _ = step_video([20, 20])
-    with pytest.raises(ValueError, match="not a boundary"):
-        correct_boundary(feat, labels, 7)
+    assert corrected_at(feat, labels, 18, CorrectionConfig(16, 4)) == 18
 
 
 def test_all_shifts_recovered_exactly():
@@ -65,7 +64,7 @@ def test_all_shifts_recovered_exactly():
         if shift == 0:
             continue
         shifted = LabelSequence(np.repeat([0, 1], [true + shift, 80 - true - shift]), 2)
-        got = correct_boundary(feat, shifted, true + shift, CorrectionConfig(16, 4))
+        got = corrected_at(feat, shifted, true + shift, CorrectionConfig(16, 4))
         assert got == true, f"shift {shift}: got {got}"
 
 
@@ -74,7 +73,7 @@ def test_gtea_style_window_8_4():
     true = bounds.indices[0]
     for shift in (-3, -1, 2, 3):
         shifted = LabelSequence(np.repeat([0, 1], [true + shift, 60 - true - shift]), 2)
-        assert correct_boundary(feat, shifted, true + shift, CorrectionConfig(8, 4)) == true
+        assert corrected_at(feat, shifted, true + shift, CorrectionConfig(8, 4)) == true
 
 
 # ------------------------------------------------------------- correct_all

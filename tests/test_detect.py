@@ -200,3 +200,10 @@ def test_segment_labels_cover_segments():
     # all three segments perfectly separable: distinct ids per segment
     arr = labels.labels
     assert len({arr[0], arr[35], arr[75]}) == 3
+
+
+def test_segment_labels_rejects_boundary_past_last_frame():
+    feat, _ = step_features([15, 15], seed=10)
+    for bounds in (BoundarySet((10, 30)), BoundarySet((31,))):
+        with pytest.raises(ValueError, match=rf"boundary {bounds.indices[-1]} outside \[1, 29\]"):
+            segment_labels(feat, bounds, 2, seed=0)

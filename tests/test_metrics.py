@@ -1,13 +1,16 @@
+import itertools
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actseg.core import BoundarySet, LabelSequence, from_boundaries
 from actseg.metrics import (EvalOptions, boundary_f1, edit_score, evaluate,
-                            evaluate_batch, f1_at, frame_accuracy,
-                            greedy_label_match, hungarian_label_match,
-                            mean_result, segment_match_counts)
+                            evaluate_batch, f1_at, greedy_label_match,
+                            hungarian_label_match, mean_result,
+                            segment_match_counts)
 
 A, B, C = 0, 1, 2
 
@@ -21,24 +24,24 @@ def labels_from_segments(segs, classes=4):
     return seq(np.concatenate(parts), classes)
 
 
-# ---------------------------------------------------------- frame_accuracy
+# -------------------------------------------------------- frame accuracy
 
 def test_accuracy_identical():
     s = seq([A, B, B])
-    assert frame_accuracy(s, s) == 100.0
+    assert evaluate(s, s).acc == 100.0
 
 
 def test_accuracy_two_of_three():
-    assert frame_accuracy(seq([A, A, B]), seq([A, B, B])) == pytest.approx(200 / 3)
+    assert evaluate(seq([A, A, B]), seq([A, B, B])).acc == pytest.approx(200 / 3)
 
 
 def test_accuracy_disjoint():
-    assert frame_accuracy(seq([A, A]), seq([B, B])) == 0.0
+    assert evaluate(seq([A, A]), seq([B, B])).acc == 0.0
 
 
 def test_accuracy_length_mismatch():
     with pytest.raises(ValueError, match="length mismatch"):
-        frame_accuracy(seq([A]), seq([A, B]))
+        evaluate(seq([A]), seq([A, B]))
 
 
 # -------------------------------------------------------------- edit_score
@@ -222,6 +225,30 @@ def test_hungarian_extra_ids_become_unmatched():
     assert 2 in matched.labels.tolist()
 
 
+@st.composite
+def _label_pair(draw):
+    """A (pred, gt) pair of equal length with up to 4 classes each."""
+    frames = draw(st.integers(1, 24))
+    pred_classes, gt_classes = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pred = draw(st.lists(st.integers(0, pred_classes - 1), min_size=frames, max_size=frames))
+    gt = draw(st.lists(st.integers(0, gt_classes - 1), min_size=frames, max_size=frames))
+    return seq(pred, pred_classes), seq(gt, gt_classes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_label_pair())
+def test_hungarian_keeps_brute_force_maximum_overlap(pair):
+    pred, gt = pair
+    overlap = np.zeros((pred.class_count, gt.class_count), dtype=np.int64)
+    for p, g in zip(pred.labels, gt.labels):
+        overlap[p, g] += 1
+    short = overlap if overlap.shape[0] <= overlap.shape[1] else overlap.T
+    best = max(sum(short[i, j] for i, j in enumerate(cols))
+               for cols in itertools.permutations(range(short.shape[1]), short.shape[0]))
+    kept = int(np.count_nonzero(hungarian_label_match(pred, gt).labels == gt.labels))
+    assert kept == best
+
+
 def test_greedy_label_match_many_to_one():
     pred = seq([0] * 4 + [1] * 4, classes=2)
     gt = seq([0] * 8, classes=1)
@@ -257,6 +284,16 @@ def test_evaluate_ignore_class():
     opts = EvalOptions(ignore=frozenset({B}))
     result = evaluate(pred, gt, opts)
     assert result.acc == 100.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_label_pair(), min_size=1, max_size=3),
+       st.frozensets(st.integers(0, 3), max_size=3), st.integers(0, 6))
+def test_evaluate_batch_fields_within_0_100(pairs, ignore, tolerance):
+    for opts in (EvalOptions(boundary_tolerance=tolerance),
+                 EvalOptions(boundary_tolerance=tolerance, ignore=ignore)):
+        for key, value in evaluate_batch(pairs, opts).field_values().items():
+            assert 0.0 <= value <= 100.0, (key, value)
 
 
 def test_mean_result_averages():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actseg.core import LabelSequence
 from actseg.postprocess import PredictionSet, SmoothConfig, auto_s_win, smooth, vote
@@ -65,6 +67,38 @@ def test_vote_membership_and_majority_soundness():
             top = counts.max()
             if (counts == top).sum() == 1:
                 assert fused.labels[t] == counts.argmax()
+
+
+def loop_vote(stack, trusted, classes):
+    """Per-frame reference for vote: a unique leader wins; on a tie the
+    trusted source wins if it leads, else the first leading source."""
+    n, total = stack.shape
+    out = np.empty(total, dtype=np.int64)
+    for t in range(total):
+        counts = np.bincount(stack[:, t], minlength=classes)
+        best = counts.max()
+        leaders = np.flatnonzero(counts == best)
+        if leaders.size == 1:
+            out[t] = leaders[0]
+        elif counts[stack[trusted, t]] == best:
+            out[t] = stack[trusted, t]
+        else:
+            for s in range(n):
+                if counts[stack[s, t]] == best:
+                    out[t] = stack[s, t]
+                    break
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 40), st.integers(1, 5), st.data())
+def test_vote_equals_per_frame_loop(n, total, classes, data):
+    rows = st.lists(st.integers(0, classes - 1), min_size=total, max_size=total)
+    stack = np.array(data.draw(st.lists(rows, min_size=n, max_size=n), label="stack"))
+    trusted = data.draw(st.integers(-n, n - 1), label="trusted")
+    fused = vote(PredictionSet(tuple(seq(row, classes) for row in stack), trusted_index=trusted))
+    assert fused.class_count == classes
+    np.testing.assert_array_equal(fused.labels, loop_vote(stack, trusted % n, classes))
 
 
 # ------------------------------------------------------------------ smooth

@@ -1,10 +1,11 @@
 """Command line interface: detect, correct, smooth, vote, eval, synth, plot.
 
 File-level front end over the library. Batch subcommands accept
-directories and fan out over a bounded worker pool; results are reduced
-in input order so repeated runs are bit-identical. Exit codes: 0 success,
-1 an algorithmically degenerate outcome was reported (e.g. no boundaries
-found), 2 usage or IO errors.
+directories and run each video on a bounded worker pool; results are
+written in input order, so repeated runs are bit-identical. A video that
+fails to load or run is reported and skipped while the rest are written.
+Exit codes: 2 if any video failed or on usage or IO errors, else 1 if
+detect found no boundaries for some video, else 0.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ log = logging.getLogger("actseg")
 
 DATA_ROOT_ENV = "ACTSEG_DATA_ROOT"
 
+# Full-D DTW costs (T - 1) * D^2 cells; 1e9 is about 20 s at 2048-D.
+FULL_DTW_WARN_CELLS = 10**9
+
 
 def _int_or_auto(text: str):
     if text == AUTO:
@@ -52,16 +56,14 @@ def _resolve(path: Path) -> Path:
     return path
 
 
-def _collect(path: Path, suffix: str) -> list[tuple[str, Path]]:
+def _collect(path: Path, suffix: str) -> tuple[list[tuple[str, Path]], bool]:
     path = _resolve(path)
     if path.is_dir():
         files = sorted(p for p in path.iterdir() if p.suffix == suffix)
         if not files:
             raise FileNotFoundError(f"no *{suffix} files in {path}")
-        return [(p.stem, p) for p in files]
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    return [(path.stem, path)]
+        return [(p.stem, p) for p in files], True
+    return [(path.stem, path)], False
 
 
 def _target(base: Path, batch: bool, stem: str, suffix: str) -> Path:
@@ -73,31 +75,37 @@ def _target(base: Path, batch: bool, stem: str, suffix: str) -> Path:
     return base
 
 
-def _pool_map(jobs: int, fn, items: list):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def _each_video(jobs: int, items: list, run, write) -> int:
+    """Run `run` per item on a thread pool and `write` results in input order.
+
+    A ValueError or OSError from `run` is reported and skips only that item.
+    Returns 2 if any item was skipped, else 0.
+    """
+    def attempt(item):
+        try:
+            return run(item), None
+        except (ValueError, OSError) as exc:
+            return None, exc
+
+    failed = False
+    with ThreadPoolExecutor(max_workers=max(1, min(jobs, len(items)))) as pool:
+        for result, exc in pool.map(attempt, items):
+            if exc is None:
+                write(result)
+            else:
+                print(f"error: {exc}", file=sys.stderr)
+                failed = True
+    return 2 if failed else 0
 
 
-def _pair_inputs(features: Path, labels: Path,
-                 label_suffix: str = ".txt") -> tuple[list[tuple[str, Path, Path]], bool]:
-    features = _resolve(features)
+def _pair_inputs(features: Path, labels: Path) -> tuple[list[tuple[str, Path, Path]], bool]:
     labels = _resolve(labels)
-    if features.is_dir() != labels.is_dir():
+    feat_items, batch = _collect(features, ".npy")
+    if batch != labels.is_dir():
         raise ValueError("features and predictions must both be files or both be directories")
-    feat_items = _collect(features, ".npy")
-    if not features.is_dir():
-        if not labels.exists():
-            raise FileNotFoundError(f"no such file: {labels}")
-        return [(feat_items[0][0], feat_items[0][1], labels)], False
-    paired = []
-    for stem, fpath in feat_items:
-        lpath = labels / f"{stem}{label_suffix}"
-        if not lpath.exists():
-            raise FileNotFoundError(f"no prediction for {stem}: {lpath}")
-        paired.append((stem, fpath, lpath))
-    return paired, True
+    if not batch:
+        return [(*feat_items[0], labels)], False
+    return [(stem, fpath, labels / f"{stem}.txt") for stem, fpath in feat_items], True
 
 
 def _load_mapping(args) -> dataio.ClassMapping | None:
@@ -107,21 +115,25 @@ def _load_mapping(args) -> dataio.ClassMapping | None:
 # ---------------------------------------------------------------- detect
 
 def _cmd_detect(args) -> int:
-    inputs = _collect(args.features, ".npy")
-    batch = _resolve(args.features).is_dir()
+    inputs, batch = _collect(args.features, ".npy")
     cfg = DetectConfig(num_classes=args.num_classes, b_intrv=args.b_intrv,
                        dim_reduce=args.dim_reduce)
+    degenerate = []
 
     def run(item):
         vid, path = item
         feat = dataio.load_features(path, args.orientation)
+        cells = (feat.frames - 1) * feat.dim ** 2
+        if args.dim_reduce is None and cells > FULL_DTW_WARN_CELLS:
+            log.warning("%s: full-D DTW on T=%d frames x D=%d dims is %.1e cost cells; "
+                        "consider --dim-reduce 64", vid, feat.frames, feat.dim, cells)
         bounds, props = detect(feat, cfg, seed=args.seed)
         labels = (segment_labels(feat, bounds, cfg.num_classes, args.seed)
                   if args.out_labels else None)
         return vid, bounds, props, labels
 
-    degenerate = []
-    for vid, bounds, props, labels in _pool_map(args.jobs, run, inputs):
+    def write(result):
+        vid, bounds, props, labels = result
         log.info("%s: b_intrv=%d proposals cosine=%d dtw=%d cluster=%d -> %d boundaries",
                  vid, props.resolved_b_intrv, len(props.cosine_bounds),
                  len(props.dtw_bounds), len(props.cluster_bounds), len(bounds))
@@ -130,10 +142,11 @@ def _cmd_detect(args) -> int:
             dataio.save_labels(_target(args.out_labels, batch, vid, ".txt"), labels)
         if not bounds:
             degenerate.append(vid)
+
+    code = _each_video(args.jobs, inputs, run, write)
     if degenerate:
         log.warning("no boundaries detected for: %s", ", ".join(degenerate))
-        return 1
-    return 0
+    return code or (1 if degenerate else 0)
 
 
 # ---------------------------------------------------------------- correct
@@ -147,37 +160,40 @@ def _cmd_correct(args) -> int:
         vid, fpath, ppath = item
         feat = dataio.load_features(fpath, args.orientation)
         labels = dataio.load_labels(ppath, mapping)
-        corrected, report = correct_all(feat, labels, cfg, seed=args.seed)
-        return vid, corrected, report
+        return vid, *correct_all(feat, labels, cfg, seed=args.seed)
 
-    for vid, corrected, report in _pool_map(args.jobs, run, paired):
+    def write(result):
+        vid, corrected, report = result
         log.info("%s: moved %d of %d boundaries", vid, report.moved(), len(report.records))
         dataio.save_labels(_target(args.out, batch, vid, ".txt"), corrected, mapping)
         if args.report:
             lines = "".join(f"{r.original} {r.corrected} {r.iterations}\n"
                             for r in report.records)
             _target(args.report, batch, vid, ".txt").write_text(lines)
-    return 0
+
+    return _each_video(args.jobs, paired, run, write)
 
 
 # ---------------------------------------------------------------- smooth
 
 def _cmd_smooth(args) -> int:
-    inputs = _collect(args.predictions, ".txt")
-    batch = _resolve(args.predictions).is_dir()
+    inputs, batch = _collect(args.predictions, ".txt")
     mapping = _load_mapping(args)
     cfg = SmoothConfig(s_win=args.s_win, stride=args.stride)
 
     def run(item):
         vid, path = item
         labels = dataio.load_labels(path, mapping)
-        if cfg.s_win == AUTO:
-            log.info("%s: resolved s_win=%d", vid, auto_s_win(labels))
-        return vid, smooth(labels, cfg)
+        s_win = auto_s_win(labels) if cfg.s_win == AUTO else None
+        return vid, s_win, smooth(labels, cfg)
 
-    for vid, smoothed in _pool_map(args.jobs, run, inputs):
+    def write(result):
+        vid, s_win, smoothed = result
+        if s_win is not None:
+            log.info("%s: resolved s_win=%d", vid, s_win)
         dataio.save_labels(_target(args.out, batch, vid, ".txt"), smoothed, mapping)
-    return 0
+
+    return _each_video(args.jobs, inputs, run, write)
 
 
 # ---------------------------------------------------------------- vote
@@ -199,7 +215,7 @@ def _cmd_vote(args) -> int:
 # ---------------------------------------------------------------- eval
 
 def _read_split(path: Path) -> list[str]:
-    ids = [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
+    ids = [line.strip() for line in dataio.read_text(path).splitlines() if line.strip()]
     if not ids:
         raise ValueError(f"empty split bundle: {path}")
     return [Path(i).stem for i in ids]  # tolerate ids written with extensions
@@ -211,7 +227,7 @@ def _cmd_eval(args) -> int:
     if not pred_dir.is_dir() or not gt_dir.is_dir():
         raise ValueError("eval expects prediction and ground-truth directories")
     mapping = _load_mapping(args)
-    gt_items = dict(_collect(gt_dir, ".txt"))
+    gt_items = dict(_collect(gt_dir, ".txt")[0])
     try:
         ignore = frozenset(mapping.id_of(n) if mapping else int(n) for n in args.ignore or [])
     except KeyError as exc:
@@ -225,10 +241,7 @@ def _cmd_eval(args) -> int:
         if vid not in gt_items:
             raise ValueError(f"video {vid!r} has no ground truth in {gt_dir}")
         gt = dataio.load_labels(gt_items[vid], mapping)
-        pred_path = pred_dir / f"{vid}.txt"
-        if not pred_path.exists():
-            raise FileNotFoundError(f"no prediction for {vid}: {pred_path}")
-        pred = dataio.load_labels(pred_path,
+        pred = dataio.load_labels(pred_dir / f"{vid}.txt",
                                   mapping if args.pred_format == "names" else None)
         if args.label_match == "hungarian":
             pred = hungarian_label_match(pred, gt)
@@ -237,17 +250,18 @@ def _cmd_eval(args) -> int:
         return pred, gt
 
     rows: list[tuple[str, EvalResult]] = []
+    failed = 0
+    for bundle in args.splits or [None]:
+        ids = _read_split(_resolve(bundle)) if bundle else sorted(gt_items)
+        pairs = []
+        failed = _each_video(args.jobs, ids, load_pair, pairs.append) or failed
+        if not failed:
+            rows.append((Path(bundle).stem if bundle else "all", evaluate_batch(pairs, opts)))
+    if failed:
+        return failed
     if args.splits:
-        for bundle in args.splits:
-            ids = _read_split(_resolve(bundle))
-            pairs = _pool_map(args.jobs, load_pair, ids)
-            rows.append((Path(bundle).stem, evaluate_batch(pairs, opts)))
-        overall = mean_result([r for _, r in rows])
-    else:
-        ids = sorted(gt_items)
-        pairs = _pool_map(args.jobs, load_pair, ids)
-        overall = evaluate_batch(pairs, opts)
-    rows.append(("avg" if args.splits else "all", overall))
+        rows.append(("avg", mean_result([r for _, r in rows])))
+    overall = rows[-1][1]
 
     print(_format_table(rows))
     for key, value in overall.field_values().items():
@@ -301,10 +315,6 @@ def _cmd_synth(args) -> int:
             dataio.save_labels(pred_dir / f"{vid}.txt", noisy, mapping)
         ids.append(vid)
     (splits_dir / "all.txt").write_text("".join(f"{v}\n" for v in ids))
-    dataio.save_manifest(out / "manifest.txt", dataio.DatasetLayout(
-        features_dir=features_dir, gt_dir=gt_dir, mapping_path=out / "mapping.txt",
-        splits=(splits_dir / "all.txt",),
-        predictions_dir=pred_dir if args.perturb > 0 else None))
     log.info("wrote %d synthetic videos under %s", len(ids), out)
     return 0
 

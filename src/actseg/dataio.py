@@ -5,7 +5,8 @@ Features travel in the NPY v1.0 array container (magic 0x93 'NUMPY',
 public benchmark feature dumps actually use: little-endian float32/float64,
 C order, 2-D. Everything else is rejected with a clear message. Labels are
 one class name per line; boundaries one integer per line; mappings one
-"index name" pair per line. All writes are atomic (temp file + rename).
+"index name" pair per line, all UTF-8 text. All writes are atomic (temp
+file + rename).
 """
 
 from __future__ import annotations
@@ -50,6 +51,15 @@ def _atomic_write(path: Path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_text(path) -> str:
+    """Read a UTF-8 text file; bytes that are not UTF-8 name the file and offset."""
+    path = Path(path)
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text at byte {exc.start}") from None
 
 
 def read_array(path) -> np.ndarray:
@@ -171,7 +181,7 @@ def load_mapping(path) -> ClassMapping:
     """Read "index name" pairs; ids must be contiguous from 0."""
     path = Path(path)
     entries: dict[int, str] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split()
@@ -183,6 +193,8 @@ def load_mapping(path) -> ClassMapping:
             raise FormatError(f"{path}:{lineno}: bad class index {parts[0]!r}") from None
         if idx in entries:
             raise FormatError(f"{path}:{lineno}: duplicate class index {idx}")
+        if parts[1] in entries.values():
+            raise FormatError(f"{path}:{lineno}: duplicate class name {parts[1]!r}")
         entries[idx] = parts[1]
     if not entries:
         raise FormatError(f"{path}: empty mapping file")
@@ -204,7 +216,7 @@ def load_labels(path, mapping: ClassMapping | None = None) -> LabelSequence:
     number.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = read_text(path).splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -242,7 +254,7 @@ def save_labels(path, labels: LabelSequence, mapping: ClassMapping | None = None
 def load_boundaries(path) -> BoundarySet:
     path = Path(path)
     values = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -250,7 +262,10 @@ def load_boundaries(path) -> BoundarySet:
         except ValueError:
             raise DataError(f"{path}:{lineno}: expected an integer frame index, "
                             f"got {line!r}") from None
-    return BoundarySet(tuple(values))
+    try:
+        return BoundarySet(tuple(values))
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_boundaries(path, bounds: BoundarySet) -> None:
@@ -266,7 +281,7 @@ def save_report(path, result: EvalResult) -> None:
 def load_report(path) -> dict[str, float]:
     path = Path(path)
     out: dict[str, float] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         key, sep, value = line.partition("=")
@@ -274,68 +289,3 @@ def load_report(path) -> dict[str, float]:
             raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
         out[key.strip()] = float(value)
     return out
-
-
-@dataclass(frozen=True)
-class DatasetLayout:
-    """Where a benchmark-style dataset lives on disk."""
-
-    features_dir: Path
-    gt_dir: Path
-    mapping_path: Path
-    splits: tuple[Path, ...] = ()
-    predictions_dir: Path | None = None
-
-
-_MANIFEST_KEYS = ("features_dir", "gt_dir", "mapping", "splits", "predictions_dir")
-
-
-def load_manifest(path) -> DatasetLayout:
-    """Read a plain key=value manifest describing a dataset layout.
-
-    Relative paths resolve against the manifest's directory; every
-    referenced path must exist.
-    """
-    path = Path(path)
-    base = path.parent
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep or key not in _MANIFEST_KEYS:
-            raise FormatError(f"{path}:{lineno}: expected one of {_MANIFEST_KEYS}, "
-                              f"got {line!r}")
-        values[key] = value.strip()
-    for required in ("features_dir", "gt_dir", "mapping"):
-        if required not in values:
-            raise FormatError(f"{path}: manifest is missing {required}")
-
-    def resolve(rel: str) -> Path:
-        candidate = Path(rel)
-        if not candidate.is_absolute():
-            candidate = base / candidate
-        if not candidate.exists():
-            raise FormatError(f"{path}: referenced path does not exist: {candidate}")
-        return candidate
-
-    splits = tuple(resolve(s) for s in values.get("splits", "").split(",") if s)
-    predictions = resolve(values["predictions_dir"]) if values.get("predictions_dir") else None
-    return DatasetLayout(features_dir=resolve(values["features_dir"]),
-                         gt_dir=resolve(values["gt_dir"]),
-                         mapping_path=resolve(values["mapping"]),
-                         splits=splits,
-                         predictions_dir=predictions)
-
-
-def save_manifest(path, layout: DatasetLayout) -> None:
-    lines = [f"features_dir={layout.features_dir}",
-             f"gt_dir={layout.gt_dir}",
-             f"mapping={layout.mapping_path}"]
-    if layout.splits:
-        lines.append("splits=" + ",".join(str(s) for s in layout.splits))
-    if layout.predictions_dir is not None:
-        lines.append(f"predictions_dir={layout.predictions_dir}")
-    _atomic_write(Path(path), ("\n".join(lines) + "\n").encode())

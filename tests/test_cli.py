@@ -1,14 +1,20 @@
+import logging
 import os
+import shlex
+import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import actseg
-from actseg import dataio
+from actseg import cli, dataio
 from actseg.cli import main
+from actseg.core import BoundarySet
+from actseg.detect import MethodProposals
 
 
 @pytest.fixture()
@@ -22,12 +28,12 @@ def synth_dir(tmp_path):
 
 
 def test_synth_layout(synth_dir):
-    assert sorted(p.name for p in (synth_dir / "features").iterdir()) == \
-        ["synth_000.npy", "synth_001.npy", "synth_002.npy"]
-    layout = dataio.load_manifest(synth_dir / "manifest.txt")
-    assert layout.predictions_dir is not None
-    mapping = dataio.load_mapping(layout.mapping_path)
-    assert len(mapping) == 4
+    assert sorted(p.name for p in synth_dir.iterdir()) == \
+        ["bounds", "features", "groundTruth", "mapping.txt", "predictions", "splits"]
+    for sub, suffix in (("features", ".npy"), ("groundTruth", ".txt"), ("predictions", ".txt")):
+        assert sorted(p.name for p in (synth_dir / sub).iterdir()) == \
+            [f"synth_{i:03d}{suffix}" for i in range(3)]
+    assert len(dataio.load_mapping(synth_dir / "mapping.txt")) == 4
 
 
 def test_detect_eval_chain(synth_dir, tmp_path, capsys):
@@ -261,3 +267,97 @@ def test_jobs_outputs_identical(tmp_path):
                          for p in sorted(out.rglob("*")) if p.is_file()}
     assert len(outputs["1"]) == 16
     assert outputs["1"] == outputs["2"]
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["detect", "correct", "smooth"])
+def test_bad_video_skipped_others_written(synth_dir, tmp_path, capsys, command):
+    sub, bad = ("predictions", "synth_001.txt") if command == "smooth" else \
+        ("features", "synth_001.npy")
+    good, mixed = tmp_path / "good", tmp_path / "mixed"
+    shutil.copytree(synth_dir / sub, good)
+    shutil.copytree(synth_dir / sub, mixed)
+    (good / bad).unlink()
+    raw = (mixed / bad).read_bytes()
+    (mixed / bad).write_bytes(b"\xff" + raw if command == "smooth" else raw[:200])
+    mapping = ["--mapping", str(synth_dir / "mapping.txt")]
+
+    def argv(inputs, out):
+        if command == "detect":
+            return ["detect", str(inputs), "--num-classes", "4", "--b-intrv", "20",
+                    "--out-bounds", str(out)]
+        if command == "correct":
+            return ["correct", str(inputs), str(synth_dir / "predictions"), *mapping,
+                    "--out", str(out)]
+        return ["smooth", str(inputs), "--s-win", "4", *mapping, "--out", str(out)]
+
+    assert main(argv(good, tmp_path / "want")) == 0
+    capsys.readouterr()
+    assert main(argv(mixed, tmp_path / "got")) == 2
+    assert f"error: {mixed / bad}: " in capsys.readouterr().err
+    assert len(_tree(tmp_path / "want")) == 2
+    assert _tree(tmp_path / "got") == _tree(tmp_path / "want")
+
+
+def test_eval_lists_every_missing_prediction(synth_dir, tmp_path, capsys):
+    preds = tmp_path / "preds"
+    shutil.copytree(synth_dir / "predictions", preds)
+    for vid in ("synth_000", "synth_002"):
+        (preds / f"{vid}.txt").unlink()
+    code = main(["eval", str(preds), str(synth_dir / "groundTruth"),
+                 "--mapping", str(synth_dir / "mapping.txt")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert str(preds / "synth_000.txt") in err and str(preds / "synth_002.txt") in err
+
+
+def test_smooth_auto_logs_in_input_order(synth_dir, tmp_path, caplog, monkeypatch):
+    load = dataio.load_labels
+
+    def slow_load(path, mapping=None):
+        time.sleep(0.1 * (3 - int(Path(path).stem[-1])))  # synth_000 finishes last
+        return load(path, mapping)
+
+    monkeypatch.setattr(dataio, "load_labels", slow_load)
+    with caplog.at_level(logging.INFO, logger="actseg"):
+        assert main(["smooth", str(synth_dir / "predictions"), "--s-win", "auto",
+                     "--jobs", "4", "--mapping", str(synth_dir / "mapping.txt"),
+                     "--out", str(tmp_path / "out")]) == 0
+    logged = [r.getMessage() for r in caplog.records if "resolved s_win" in r.getMessage()]
+    assert [m.split(":")[0] for m in logged] == ["synth_000", "synth_001", "synth_002"]
+
+
+def test_detect_warns_before_full_d_dtw(tmp_path, caplog, monkeypatch):
+    none = BoundarySet()
+    proposals = MethodProposals(none, none, none, np.zeros(0), np.zeros(0), 10)
+    monkeypatch.setattr(cli, "detect", lambda feat, cfg, seed: (BoundarySet((1,)), proposals))
+    feats = tmp_path / "feats"
+    feats.mkdir()
+    for frames in (60, 61):  # (T - 1) * 4096^2 straddles 1e9 cells
+        dataio.write_array(feats / f"t{frames}.npy", np.zeros((frames, 4096)), "<f4")
+
+    def warnings(*flags):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="actseg"):
+            assert main(["detect", str(feats), "--num-classes", "2",
+                         "--out-bounds", str(tmp_path / "bounds"), *flags]) == 0
+        return [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+
+    assert warnings() == ["t61: full-D DTW on T=61 frames x D=4096 dims is 1.0e+09 "
+                          "cost cells; consider --dim-reduce 64"]
+    assert warnings("--dim-reduce", "64") == []
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quickstart on synthetic data", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [line.strip() for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("actseg ")]
+    assert len(commands) >= 5
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == 0, command

@@ -211,6 +211,37 @@ def test_mapping_requires_contiguous_ids(tmp_path):
         dataio.load_mapping(path)
 
 
+@pytest.mark.parametrize("load, raw, detail", [
+    (dataio.load_labels, b"0\n\xff\n", ": not UTF-8 text at byte 2"),
+    (dataio.load_mapping, b"0 a\n1 a\n", ":2: duplicate class name 'a'"),
+    (dataio.load_boundaries, b"0\n", ": boundary indices must be >= 1"),
+], ids=["labels", "mapping", "boundaries"])
+def test_text_errors_name_the_file(tmp_path, load, raw, detail):
+    path = tmp_path / "in.txt"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}{detail}")
+
+
+_TEXT_PIECES = [b"0", b"1", b"7", b"-1", b"a", b"b", b" ", b"\n", b"\r\n", b"\xff", b"\xc3\xa9"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=32) | st.lists(st.sampled_from(_TEXT_PIECES), max_size=16).map(b"".join))
+def test_text_loaders_return_or_name_the_file(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("text") / "in.txt"
+    path.write_bytes(raw)
+    mapping = dataio.ClassMapping(("a", "b", "0"))
+    loaders = (dataio.load_labels, lambda p: dataio.load_labels(p, mapping),
+               dataio.load_mapping, dataio.load_boundaries)
+    for load in loaders:
+        try:
+            load(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:"), exc
+
+
 def test_report_round_trip(tmp_path):
     s = LabelSequence(np.array([0, 0, 1, 1]), 2)
     result = evaluate(s, s)
@@ -235,25 +266,3 @@ def test_atomic_overwrite(tmp_path):
     dataio.save_labels(path, LabelSequence(np.array([0, 0]), 1))
     assert path.read_text() == "0\n0\n"
     assert list(tmp_path.iterdir()) == [path]  # no stray temp files
-
-
-def test_manifest_round_trip(tmp_path):
-    (tmp_path / "features").mkdir()
-    (tmp_path / "groundTruth").mkdir()
-    (tmp_path / "mapping.txt").write_text("0 a\n")
-    layout = dataio.DatasetLayout(features_dir=tmp_path / "features",
-                                  gt_dir=tmp_path / "groundTruth",
-                                  mapping_path=tmp_path / "mapping.txt")
-    path = tmp_path / "manifest.txt"
-    dataio.save_manifest(path, layout)
-    loaded = dataio.load_manifest(path)
-    assert loaded.features_dir == layout.features_dir
-    assert loaded.gt_dir == layout.gt_dir
-    assert loaded.mapping_path == layout.mapping_path
-
-
-def test_manifest_missing_path_rejected(tmp_path):
-    path = tmp_path / "manifest.txt"
-    path.write_text("features_dir=nowhere\ngt_dir=nowhere\nmapping=nowhere\n")
-    with pytest.raises(dataio.FormatError, match="does not exist"):
-        dataio.load_manifest(path)

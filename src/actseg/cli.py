@@ -127,7 +127,10 @@ def _cmd_detect(args) -> int:
         if args.dim_reduce is None and cells > FULL_DTW_WARN_CELLS:
             log.warning("%s: full-D DTW on T=%d frames x D=%d dims is %.1e cost cells; "
                         "consider --dim-reduce 64", vid, feat.frames, feat.dim, cells)
-        bounds, props = detect(feat, cfg, seed=args.seed)
+        try:
+            bounds, props = detect(feat, cfg, seed=args.seed)
+        except ValueError as exc:
+            raise dataio.DataError(f"{path}: {exc}") from None
         labels = (segment_labels(feat, bounds, cfg.num_classes, args.seed)
                   if args.out_labels else None)
         return vid, bounds, props, labels
@@ -160,7 +163,10 @@ def _cmd_correct(args) -> int:
         vid, fpath, ppath = item
         feat = dataio.load_features(fpath, args.orientation)
         labels = dataio.load_labels(ppath, mapping)
-        return vid, *correct_all(feat, labels, cfg, seed=args.seed)
+        try:
+            return vid, *correct_all(feat, labels, cfg, seed=args.seed)
+        except ValueError as exc:
+            raise dataio.DataError(f"{ppath} vs {fpath}: {exc}") from None
 
     def write(result):
         vid, corrected, report = result
@@ -240,9 +246,12 @@ def _cmd_eval(args) -> int:
     def load_pair(vid: str):
         if vid not in gt_items:
             raise ValueError(f"video {vid!r} has no ground truth in {gt_dir}")
-        gt = dataio.load_labels(gt_items[vid], mapping)
-        pred = dataio.load_labels(pred_dir / f"{vid}.txt",
-                                  mapping if args.pred_format == "names" else None)
+        gt_path, pred_path = gt_items[vid], pred_dir / f"{vid}.txt"
+        gt = dataio.load_labels(gt_path, mapping)
+        pred = dataio.load_labels(pred_path, mapping if args.pred_format == "names" else None)
+        if len(pred) != len(gt):
+            raise dataio.DataError(f"{pred_path}: {len(pred)} frames, but ground truth "
+                                   f"{gt_path} has {len(gt)}")
         if args.label_match == "hungarian":
             pred = hungarian_label_match(pred, gt)
         elif args.label_match == "greedy":

@@ -68,7 +68,11 @@ def auto_window_params(bounds: BoundarySet) -> tuple[int, int]:
     b_win is the largest-to-smallest gap ratio, clamped to [4, 64] and
     rounded down to even; b_seg divides it by its smallest divisor > 1.
     Falls back to the fixed defaults (16, 4) with fewer than two
-    boundaries. Experimental: the fixed defaults are usually better.
+    boundaries. On synthetic 256-D corpora shaped like GTEA, 50Salads and
+    Breakfast (segment means 6 apart), with boundaries shifted up to 5
+    frames, the fixed (16, 4) wins everywhere; with three spurious 1-3
+    frame runs added, this heuristic wins on accuracy for GTEA (noise 5)
+    and 50Salads, and on exact-boundary F1 for GTEA (noise 20).
     """
     idx = bounds.indices
     if len(idx) < 2:

@@ -287,5 +287,9 @@ def load_report(path) -> dict[str, float]:
         key, sep, value = line.partition("=")
         if not sep:
             raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        out[key.strip()] = float(value)
+        try:
+            out[key.strip()] = float(value)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: expected a number after '=', "
+                              f"got {value.strip()!r}") from None
     return out

@@ -16,10 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-# Working-set budget of the batched kernels: float64 difference cells per
-# block-DTW chunk, and difference rows per k-means seeding block. About 256
-# frame pairs per chunk at D=64 and one at D=2048; 512 rows per block at
-# D=2048.
+# Working-set budget of block DTW: float64 difference cells per chunk of
+# frame pairs. About 256 pairs per chunk at D=64 and one at D=2048.
 _BATCH_BYTES = 8 << 20
 
 # Lloyd iterations of k-means stop after _KMEANS_MAX_ITER steps, when the
@@ -118,8 +116,8 @@ def kmeans(points, k: int, seed: int) -> ClusterAssignment:
 
 def _lloyd(pts: np.ndarray, k: int, rng: np.random.Generator):
     n = pts.shape[0]
-    centroids = pts[_farthest_points(pts, int(rng.integers(n)), k)]
     pt_sq = (pts ** 2).sum(axis=1)  # squared norms, fixed for every step
+    centroids = pts[_farthest_points(pts, pt_sq, int(rng.integers(n)), k)]
 
     labels = np.full(n, -1, dtype=np.int64)
     inertia = np.inf
@@ -144,43 +142,23 @@ def _lloyd(pts: np.ndarray, k: int, rng: np.random.Generator):
     return labels, centroids, max(inertia, 0.0)
 
 
-def _farthest_points(pts: np.ndarray, first: int, k: int) -> list[int]:
+def _farthest_points(pts: np.ndarray, pt_sq: np.ndarray, first: int, k: int) -> list[int]:
     """Row indices of k farthest-point seeds, starting from row `first`.
 
     Each further seed is the row whose squared distance to its nearest
     seed so far is largest (ties: lowest row).
     """
-    n, dim = pts.shape
-    diff = np.empty((min(_batch_rows(dim), n), dim))
-    dist = np.empty(n)
-    nearest = np.full(n, np.inf)
+    nearest = np.full(pts.shape[0], np.inf)
     seeds = [first]
     for _ in range(1, k):
-        _row_sq_dists(pts, pts[seeds[-1]], diff, dist)
-        np.minimum(nearest, dist, out=nearest)
+        np.minimum(nearest, _sq_dists(pts, pt_sq, pts[seeds[-1:]])[:, 0], out=nearest)
         seeds.append(int(np.argmax(nearest)))
     return seeds
 
 
-def _row_sq_dists(pts: np.ndarray, c: np.ndarray, diff: np.ndarray,
-                  out: np.ndarray) -> None:
-    """out[i] = ((pts[i] - c) ** 2).sum(), in row blocks of diff's length.
-
-    pts must be C-contiguous: NumPy then sums each row of the one-shot
-    expression pairwise along the row, as it sums each contiguous block row
-    here, so every sum is the same to the last bit.
-    """
-    rows = diff.shape[0]
-    for start in range(0, pts.shape[0], rows):
-        block = diff[:min(rows, pts.shape[0] - start)]
-        np.subtract(pts[start:start + rows], c, out=block)
-        np.square(block, out=block)
-        block.sum(axis=1, out=out[start:start + rows])
-
-
 def _sq_dists(pts: np.ndarray, pt_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     d2 = (pt_sq[:, None] + (centroids ** 2).sum(axis=1)[None, :]
-          - 2.0 * pts @ centroids.T)
+          - 2.0 * (pts @ centroids.T))
     np.maximum(d2, 0.0, out=d2)
     return d2
 

@@ -314,6 +314,41 @@ def test_eval_lists_every_missing_prediction(synth_dir, tmp_path, capsys):
     assert str(preds / "synth_000.txt") in err and str(preds / "synth_002.txt") in err
 
 
+@pytest.mark.parametrize("command", ["detect", "correct", "eval"])
+def test_run_errors_name_the_file(synth_dir, tmp_path, capsys, command):
+    # Every file loads, but synth_001 cannot be run: 3 frames are too few to
+    # detect 4 classes, and a 20-frame prediction matches neither its
+    # features nor its ground truth.
+    sub, bad, other = {
+        "detect": ("features", "synth_001.npy", None),
+        "correct": ("predictions", "synth_001.txt", synth_dir / "features" / "synth_001.npy"),
+        "eval": ("predictions", "synth_001.txt", synth_dir / "groundTruth" / "synth_001.txt"),
+    }[command]
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    shutil.copytree(synth_dir / sub, inputs)
+    if command == "detect":
+        dataio.write_array(inputs / bad, np.zeros((3, 8)))
+    else:
+        (inputs / bad).write_text("".join((inputs / bad).read_text().splitlines(True)[:20]))
+    mapping = ["--mapping", str(synth_dir / "mapping.txt")]
+    argv = {
+        "detect": ["detect", str(inputs), "--num-classes", "4", "--b-intrv", "20",
+                   "--out-bounds", str(out)],
+        "correct": ["correct", str(synth_dir / "features"), str(inputs), *mapping,
+                    "--out", str(out)],
+        "eval": ["eval", str(inputs), str(synth_dir / "groundTruth"), *mapping],
+    }[command]
+    assert main(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert f"error: {inputs / bad}" in err
+    if other is not None:
+        assert str(other) in err
+    if command == "eval":
+        assert stdout == ""
+    else:
+        assert sorted(p.name for p in out.iterdir()) == ["synth_000.txt", "synth_002.txt"]
+
+
 def test_smooth_auto_logs_in_input_order(synth_dir, tmp_path, caplog, monkeypatch):
     load = dataio.load_labels
 

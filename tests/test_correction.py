@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actseg.core import (AUTO, BoundarySet, CorrectionConfig, FeatureSequence,
                          LabelSequence, boundaries_of, run_classes)
-from actseg.correction import auto_window_params, correct_all
+from actseg.correction import auto_window_params, correct_all, resolve_window_params
 from actseg.synth import SynthSpec, generate, perturb_boundaries
 
 
@@ -102,25 +105,43 @@ def test_idempotent_on_clean_steps():
     assert once == twice
 
 
-def test_segment_classes_and_locality_preserved_on_noise_features():
-    # even on structureless features the rewrite must stay local and
-    # preserve the segment class string
-    rng = np.random.default_rng(42)
-    for case in range(50):
-        n_segs = int(rng.integers(2, 6))
-        lengths = rng.integers(9, 30, size=n_segs)
-        labels = np.repeat(np.arange(n_segs) % 3, lengths)
-        ls = LabelSequence(labels, 3)
-        feat = FeatureSequence(rng.normal(size=(labels.size, 4)))
-        cfg = CorrectionConfig(8, 2)
-        out, _ = correct_all(feat, ls, cfg, seed=case)
-        assert run_classes(out) == run_classes(ls)
-        moved = np.flatnonzero(out.labels != ls.labels)
-        for frame in moved:
-            assert any(abs(frame - b) <= 4 for b in boundaries_of(ls)), \
-                f"frame {frame} changed outside every window"
-        got = boundaries_of(out).indices
-        assert all(b2 > b1 for b1, b2 in zip(got, got[1:]))
+@st.composite
+def correction_cases(draw):
+    """Labels of 2-6 segments, neighbours differing, over structureless
+    features with optional constant blocks, plus a window config and seed."""
+    lengths = draw(st.lists(st.integers(9, 40), min_size=2, max_size=6))
+    classes = [draw(st.integers(0, 3))]
+    for _ in lengths[1:]:
+        classes.append(draw(st.integers(0, 3).filter(lambda c, prev=classes[-1]: c != prev)))
+    labels = np.repeat(classes, lengths)
+    seed = draw(st.integers(0, 2**16))
+    values = np.random.default_rng(seed).normal(size=(labels.size, draw(st.integers(1, 8))))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, labels.size - 1))
+        values[start:start + draw(st.integers(1, 40))] = draw(st.sampled_from([0.0, 1.0, -2.5]))
+    cfg = draw(st.sampled_from([(16, 4), (8, 2), (8, 4), (AUTO, AUTO)]))
+    return LabelSequence(labels, 4), FeatureSequence(values), CorrectionConfig(*cfg), seed
+
+
+@pytest.mark.filterwarnings("ignore:zero-norm block:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(correction_cases())
+def test_segment_classes_and_locality_preserved_on_noise_features(case):
+    # even on structureless features the rewrite must stay inside each
+    # boundary's window and preserve the segment class string
+    labels, feat, cfg, seed = case
+    out, report = correct_all(feat, labels, cfg, seed=seed)
+    assert run_classes(out) == run_classes(labels)
+    got = boundaries_of(out).indices
+    assert len(got) == len(boundaries_of(labels))
+    assert all(b2 > b1 for b1, b2 in zip(got, got[1:]))
+    b_win, _ = resolve_window_params(cfg, boundaries_of(labels))
+    windows = [(r.original, r.window) for r in report.records if r.window is not None]
+    for boundary, w in windows:
+        assert boundary - b_win // 2 <= w.start < boundary < w.end <= boundary + b_win // 2
+    for frame in np.flatnonzero(out.labels != labels.labels):
+        assert any(w.start <= frame < w.end for _, w in windows), \
+            f"frame {frame} changed outside every window"
 
 
 def test_auto_config_runs():

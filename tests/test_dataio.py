@@ -224,7 +224,8 @@ def test_text_errors_name_the_file(tmp_path, load, raw, detail):
     assert str(info.value).startswith(f"{path}{detail}")
 
 
-_TEXT_PIECES = [b"0", b"1", b"7", b"-1", b"a", b"b", b" ", b"\n", b"\r\n", b"\xff", b"\xc3\xa9"]
+_TEXT_PIECES = [b"0", b"1", b"7", b"-1", b"a", b"b", b"=", b" ", b"\n", b"\r\n",
+                b"\xff", b"\xc3\xa9"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -234,7 +235,7 @@ def test_text_loaders_return_or_name_the_file(tmp_path_factory, raw):
     path.write_bytes(raw)
     mapping = dataio.ClassMapping(("a", "b", "0"))
     loaders = (dataio.load_labels, lambda p: dataio.load_labels(p, mapping),
-               dataio.load_mapping, dataio.load_boundaries)
+               dataio.load_mapping, dataio.load_boundaries, dataio.load_report)
     for load in loaders:
         try:
             load(path)

@@ -11,8 +11,7 @@ from hypothesis.extra.numpy import arrays
 from actseg.core import FeatureSequence
 from actseg.detect import frame_scores
 from actseg.similarity import (Metric, _batch_rows, _farthest_points,
-                               _row_sq_dists, block_similarity, dtw, kmeans,
-                               transition_index)
+                               block_similarity, dtw, kmeans, transition_index)
 
 
 # ---------------------------------------------------- block_similarity cosine
@@ -238,7 +237,7 @@ def test_kmeans_constant_points_no_crash():
 
 
 def one_shot_seeds(pts, first, k):
-    """Farthest-point seeding with full-size temporaries, as a reference."""
+    """Farthest-point seeding on exact differences, as a reference."""
     seeds = [first]
     d2 = ((pts - pts[first]) ** 2).sum(axis=1)
     for _ in range(1, k):
@@ -247,17 +246,12 @@ def one_shot_seeds(pts, first, k):
     return seeds
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_blocked_seeding_matches_one_shot(offset):
-    dim = 2048
-    rows = _batch_rows(dim)  # 512
-    n = rows + offset
+@pytest.mark.parametrize("n", [511, 512, 513])
+def test_farthest_points_matches_one_shot(n):
     rng = np.random.default_rng(n)
-    pts = rng.normal(size=(n, dim)) * rng.uniform(0.5, 2.0, size=(n, 1))
-    assert _farthest_points(pts, 7, 12) == one_shot_seeds(pts, 7, 12)
-    got = np.empty(n)
-    _row_sq_dists(pts, pts[3], np.empty((min(rows, n), dim)), got)
-    assert np.array_equal(got, ((pts - pts[3]) ** 2).sum(axis=1))
+    pts = rng.normal(size=(n, 2048)) * rng.uniform(0.5, 2.0, size=(n, 1))
+    pt_sq = (pts ** 2).sum(axis=1)
+    assert _farthest_points(pts, pt_sq, 7, 12) == one_shot_seeds(pts, 7, 12)
 
 
 # ------------------------------------------------------- transition_index

@@ -20,8 +20,7 @@ from .metrics import (EvalOptions, EvalResult, boundary_f1, edit_score,
                       hungarian_label_match)
 from .postprocess import (PredictionSet, SmoothConfig, auto_s_win, smooth,
                           vote)
-from .similarity import (ClusterAssignment, Metric, block_similarity, dtw,
-                         kmeans, transition_index)
+from .similarity import Metric, block_similarity, dtw, kmeans, transition_index
 from .synth import SynthSpec, generate, perturb_boundaries
 
 __version__ = "0.1.0"
@@ -37,8 +36,7 @@ __all__ = [
     "EvalOptions", "EvalResult", "boundary_f1", "edit_score", "evaluate",
     "evaluate_batch", "f1_at", "greedy_label_match", "hungarian_label_match",
     "PredictionSet", "SmoothConfig", "auto_s_win", "smooth", "vote",
-    "ClusterAssignment", "Metric", "block_similarity", "dtw",
-    "kmeans", "transition_index",
+    "Metric", "block_similarity", "dtw", "kmeans", "transition_index",
     "SynthSpec", "generate", "perturb_boundaries",
     "__version__",
 ]

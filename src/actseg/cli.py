@@ -190,12 +190,12 @@ def _cmd_smooth(args) -> int:
     def run(item):
         vid, path = item
         labels = dataio.load_labels(path, mapping)
-        s_win = auto_s_win(labels) if cfg.s_win == AUTO else None
-        return vid, s_win, smooth(labels, cfg)
+        s_win = auto_s_win(labels) if cfg.s_win == AUTO else cfg.s_win
+        return vid, s_win, smooth(labels, SmoothConfig(s_win, cfg.stride))
 
     def write(result):
         vid, s_win, smoothed = result
-        if s_win is not None:
+        if cfg.s_win == AUTO:
             log.info("%s: resolved s_win=%d", vid, s_win)
         dataio.save_labels(_target(args.out, batch, vid, ".txt"), smoothed, mapping)
 
@@ -206,7 +206,12 @@ def _cmd_smooth(args) -> int:
 
 def _cmd_vote(args) -> int:
     mapping = _load_mapping(args)
-    sources = tuple(dataio.load_labels(_resolve(p), mapping) for p in args.predictions)
+    paths = [_resolve(p) for p in args.predictions]
+    sources = tuple(dataio.load_labels(p, mapping) for p in paths)
+    for path, source in zip(paths[1:], sources[1:]):
+        if len(source) != len(sources[0]):
+            raise dataio.DataError(f"{path}: {len(source)} frames, but {paths[0]} "
+                                   f"has {len(sources[0])}")
     if mapping is None:
         # Each id file infers its class count from its own largest id.
         classes = max(s.class_count for s in sources)

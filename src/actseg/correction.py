@@ -135,14 +135,6 @@ def _clamped_window(idx: tuple[int, ...], pos: int, total: int,
     return WindowState(start, end, b_seg)
 
 
-def _segment_majorities(cluster_labels: np.ndarray, b_seg: int) -> np.ndarray:
-    count = cluster_labels.size // b_seg
-    out = np.empty(count, dtype=np.int64)
-    for j in range(count):
-        out[j] = np.bincount(cluster_labels[j * b_seg:(j + 1) * b_seg]).argmax()
-    return out
-
-
 def _refine_window(values: np.ndarray, start: int, end: int, b_seg: int, seed: int):
     """Shrink [start, end) around the likeliest transition sub-segment.
 
@@ -159,8 +151,9 @@ def _refine_window(values: np.ndarray, start: int, end: int, b_seg: int, seed: i
         segs = values[start:start + m * b_seg].reshape(m, b_seg, values.shape[1])
         p_cos = int(np.argmin(block_similarity(segs, Metric.COSINE))) + 1
         p_dtw = int(np.argmax(block_similarity(segs, Metric.DTW))) + 1
-        assignment = kmeans(values[start:end], 2, seed)
-        p_clu = transition_index(_segment_majorities(assignment.labels, b_seg))
+        # Each sub-segment's majority cluster; the k=2 ids are 0/1 and a tie goes to 0.
+        ones = kmeans(values[start:end], 2, seed)[:m * b_seg].reshape(m, b_seg).sum(axis=1)
+        p_clu = transition_index(2 * ones > b_seg)
         history.append(IterationProposals(p_cos, p_dtw, p_clu))
         iterations += 1
 
@@ -183,8 +176,7 @@ def _correct_in_window(values: np.ndarray, boundary: int, window: WindowState,
                                                      window.segment_size, seed)
     corrected = boundary
     if end - start >= 2:
-        assignment = kmeans(values[start:end], 2, seed)
-        idx = transition_index(assignment.labels)
+        idx = transition_index(kmeans(values[start:end], 2, seed))
         if idx is not None:
             corrected = start + idx
     return BoundaryRecord(boundary, corrected, iterations, history, window)

@@ -153,6 +153,12 @@ class ClassMapping:
 
     def __post_init__(self):
         names = tuple(str(n) for n in self.names)
+        for name in names:
+            # A name is one line's second token in the mapping file and a
+            # whole line in a label file, both written as UTF-8.
+            if name.split() != [name] or name.encode("utf-8", "replace").decode() != name:
+                raise ValueError(f"class name {name!r} is not one whitespace-free "
+                                 "token of UTF-8 text")
         if not names:
             raise ValueError("empty class mapping")
         if len(set(names)) != len(names):

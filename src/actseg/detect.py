@@ -73,7 +73,7 @@ def cluster_bounds(feat: FeatureSequence, num_classes: int, seed: int) -> Bounda
     """Boundaries where the global k-means frame label changes."""
     if feat.frames < num_classes:
         raise ValueError(f"too few frames: {feat.frames} < num_classes {num_classes}")
-    labels = kmeans(feat.values, num_classes, seed).labels
+    labels = kmeans(feat.values, num_classes, seed)
     return BoundarySet(tuple(int(i) for i in np.flatnonzero(labels[1:] != labels[:-1]) + 1))
 
 
@@ -170,9 +170,9 @@ def segment_labels(feat: FeatureSequence, bounds: BoundarySet, num_classes: int,
     """
     if bounds and bounds.indices[-1] >= feat.frames:
         raise ValueError(f"boundary {bounds.indices[-1]} outside [1, {feat.frames - 1}]")
-    assignment = kmeans(feat.values, num_classes, seed)
+    clusters = kmeans(feat.values, num_classes, seed)
     edges = [0, *bounds.indices, feat.frames]
     out = np.empty(feat.frames, dtype=np.int64)
     for start, end in zip(edges[:-1], edges[1:]):
-        out[start:end] = np.bincount(assignment.labels[start:end]).argmax()
+        out[start:end] = np.bincount(clusters[start:end]).argmax()
     return LabelSequence(out, num_classes)

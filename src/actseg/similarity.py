@@ -11,7 +11,6 @@ batched kernel is tested against. All functions are pure and deterministic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -29,15 +28,6 @@ _KMEANS_TOL = 1e-4
 class Metric(Enum):
     COSINE = "cosine"
     DTW = "dtw"
-
-
-@dataclass(frozen=True)
-class ClusterAssignment:
-    """Result of a k-means run, relabelled so labels[0] == 0."""
-
-    labels: np.ndarray     # (n,) int cluster ids in [0, k)
-    centroids: np.ndarray  # (k, D)
-    inertia: float         # sum of squared distances to assigned centroids
 
 
 def _as_sequence(x) -> np.ndarray:
@@ -93,13 +83,13 @@ def _dtw_recurrence(cost: np.ndarray) -> np.ndarray:
     return prev[:, -1]
 
 
-def kmeans(points, k: int, seed: int) -> ClusterAssignment:
-    """Seeded Lloyd k-means with farthest-point initialisation.
+def kmeans(points, k: int, seed: int) -> np.ndarray:
+    """Cluster ids of seeded Lloyd k-means with farthest-point initialisation.
 
-    Deterministic for a given (points, k, seed). Cluster ids are renumbered
-    by order of first appearance, so labels[0] is always 0. Points are read
-    in C order, so the result does not depend on how the caller's array is
-    laid out in memory.
+    Returns an (n,) int64 array. Deterministic for a given (points, k,
+    seed). Cluster ids are renumbered by order of first appearance, so
+    labels[0] is always 0. Points are read in C order, so the result does
+    not depend on how the caller's array is laid out in memory.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -109,37 +99,32 @@ def kmeans(points, k: int, seed: int) -> ClusterAssignment:
         raise ValueError(f"k must be >= 1, got {k}")
     if n < k:
         raise ValueError(f"too few points: n={n} < k={k}")
-    labels, centroids, inertia = _lloyd(pts, k, np.random.default_rng(seed))
-    labels, centroids = _relabel_first_occurrence(labels, centroids, k)
-    return ClusterAssignment(labels=labels, centroids=centroids, inertia=float(inertia))
+    return _relabel_first_occurrence(_lloyd(pts, k, np.random.default_rng(seed)))
 
 
-def _lloyd(pts: np.ndarray, k: int, rng: np.random.Generator):
+def _lloyd(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Nearest-centroid labels once they repeat, once the step before moved
+    the inertia by less than _KMEANS_TOL, or after _KMEANS_MAX_ITER updates."""
     n = pts.shape[0]
     pt_sq = (pts ** 2).sum(axis=1)  # squared norms, fixed for every step
     centroids = pts[_farthest_points(pts, pt_sq, int(rng.integers(n)), k)]
 
     labels = np.full(n, -1, dtype=np.int64)
     inertia = np.inf
-    for _ in range(_KMEANS_MAX_ITER):
+    converged = False
+    for updates in range(_KMEANS_MAX_ITER + 1):
         dists = _sq_dists(pts, pt_sq, centroids)
         new_labels = np.argmin(dists, axis=1)
-        new_inertia = float(np.take_along_axis(dists, new_labels[:, None], axis=1).sum())
-        if np.array_equal(new_labels, labels):
-            inertia = new_inertia
+        if converged or updates == _KMEANS_MAX_ITER or np.array_equal(new_labels, labels):
             break
+        new_inertia = float(np.take_along_axis(dists, new_labels[:, None], axis=1).sum())
         converged = abs(inertia - new_inertia) < _KMEANS_TOL
         labels, inertia = new_labels, new_inertia
         for j in range(k):
             members = pts[labels == j]
             if members.shape[0]:  # empty clusters keep their previous centroid
                 centroids[j] = members.mean(axis=0)
-        if converged:
-            break
-    dists = _sq_dists(pts, pt_sq, centroids)
-    labels = np.argmin(dists, axis=1)
-    inertia = float(np.take_along_axis(dists, labels[:, None], axis=1).sum())
-    return labels, centroids, max(inertia, 0.0)
+    return new_labels
 
 
 def _farthest_points(pts: np.ndarray, pt_sq: np.ndarray, first: int, k: int) -> list[int]:
@@ -163,20 +148,11 @@ def _sq_dists(pts: np.ndarray, pt_sq: np.ndarray, centroids: np.ndarray) -> np.n
     return d2
 
 
-def _relabel_first_occurrence(labels: np.ndarray, centroids: np.ndarray, k: int):
-    mapping: dict[int, int] = {}
-    for lab in labels:
-        lab = int(lab)
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-    for j in range(k):  # clusters that won no points keep their slots, in order
-        if j not in mapping:
-            mapping[j] = len(mapping)
-    new_labels = np.array([mapping[int(l)] for l in labels], dtype=np.int64)
-    new_centroids = np.empty_like(centroids)
-    for old, new in mapping.items():
-        new_centroids[new] = centroids[old]
-    return new_labels, new_centroids
+def _relabel_first_occurrence(labels: np.ndarray) -> np.ndarray:
+    first_seen = dict.fromkeys(labels.tolist())  # ids in order of first appearance
+    lookup = np.zeros(int(labels.max()) + 1, dtype=np.int64)
+    lookup[list(first_seen)] = np.arange(len(first_seen))
+    return lookup[labels]
 
 
 def transition_index(binary_labels) -> int | None:

@@ -112,6 +112,16 @@ def test_vote_id_files_widen_to_largest_class_count(tmp_path):
     assert out.read_text() == "0\n1\n2\n"
 
 
+def test_vote_length_mismatch_names_both_files(tmp_path, capsys):
+    short, long = tmp_path / "short.txt", tmp_path / "long.txt"
+    short.write_text("0\n1\n1\n")
+    long.write_text("0\n0\n1\n1\n")
+    assert main(["vote", str(short), str(long), "--out", str(tmp_path / "v.txt")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {long}: 4 frames, but {short} has 3" in err
+    assert not (tmp_path / "v.txt").exists()
+
+
 def test_vote_requires_two_inputs(synth_dir, tmp_path):
     pred = synth_dir / "predictions" / "synth_000.txt"
     code = main(["vote", str(pred), "--out", str(tmp_path / "v.txt"),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -202,6 +202,38 @@ def test_mapping_round_trip(tmp_path):
     path = tmp_path / "mapping.txt"
     dataio.save_mapping(path, mapping)
     assert dataio.load_mapping(path) == mapping
+
+
+@pytest.mark.parametrize("name", ["a b", "x\x85y", "", "tab\t", "\ud800"])
+def test_mapping_rejects_names_its_files_cannot_hold(name):
+    with pytest.raises(ValueError, match="class name"):
+        dataio.ClassMapping(("ok", name))
+
+
+@st.composite
+def _accepted_mappings(draw):
+    names = draw(st.lists(st.text(min_size=1, max_size=6)
+                          | st.sampled_from(["0", "a b", "", "x\x85y", "\ufeffa"]),
+                          min_size=1, max_size=6, unique=True))
+    try:
+        return dataio.ClassMapping(tuple(names))
+    except ValueError:
+        reject()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_accepted_mappings(), st.data())
+def test_mapping_and_labels_round_trip(tmp_path_factory, mapping, data):
+    root = tmp_path_factory.mktemp("round_trip")
+    dataio.save_mapping(root / "mapping.txt", mapping)
+    assert dataio.load_mapping(root / "mapping.txt") == mapping
+    ids = data.draw(st.lists(st.integers(0, len(mapping) - 1), min_size=1, max_size=20))
+    labels = LabelSequence(np.array(ids), len(mapping))
+    dataio.save_labels(root / "named.txt", labels, mapping)
+    assert dataio.load_labels(root / "named.txt", mapping) == labels
+    dataio.save_labels(root / "ids.txt", labels)
+    loaded = dataio.load_labels(root / "ids.txt")
+    assert loaded.labels.tolist() == ids and loaded.class_count == max(ids) + 1
 
 
 def test_mapping_requires_contiguous_ids(tmp_path):

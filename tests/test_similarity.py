@@ -10,8 +10,9 @@ from hypothesis.extra.numpy import arrays
 
 from actseg.core import FeatureSequence
 from actseg.detect import frame_scores
-from actseg.similarity import (Metric, _batch_rows, _farthest_points,
-                               block_similarity, dtw, kmeans, transition_index)
+from actseg.similarity import (_KMEANS_MAX_ITER, _KMEANS_TOL, Metric, _batch_rows,
+                               _farthest_points, _sq_dists, block_similarity, dtw,
+                               kmeans, transition_index)
 
 
 # ---------------------------------------------------- block_similarity cosine
@@ -184,14 +185,13 @@ def test_block_similarity_rejects_non_stack():
 # ------------------------------------------------------------------ kmeans
 
 def test_kmeans_separable():
-    assignment = kmeans(np.array([[0], [0], [0], [5], [5]]), k=2, seed=4)
-    assert assignment.labels.tolist() == [0, 0, 0, 1, 1]
-    assert assignment.inertia == pytest.approx(0.0)
+    labels = kmeans(np.array([[0], [0], [0], [5], [5]]), k=2, seed=4)
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [0, 0, 0, 1, 1]
 
 
 def test_kmeans_k1():
-    assignment = kmeans(np.random.default_rng(0).normal(size=(7, 3)), k=1, seed=0)
-    assert assignment.labels.tolist() == [0] * 7
+    assert kmeans(np.random.default_rng(0).normal(size=(7, 3)), k=1, seed=0).tolist() == [0] * 7
 
 
 def test_kmeans_alternating_optimal():
@@ -206,24 +206,20 @@ def test_kmeans_alternating_optimal():
         if best is None or inertia < best[0]:
             best = (inertia, assign)
     assert best[1] in ((0, 1, 0, 1), (1, 0, 1, 0))
-    assert kmeans(pts, k=2, seed=123).labels.tolist() == [0, 1, 0, 1]
+    assert kmeans(pts, k=2, seed=123).tolist() == [0, 1, 0, 1]
 
 
 def test_kmeans_deterministic():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(40, 3))
-    a = kmeans(pts, 4, seed=9)
-    b = kmeans(pts, 4, seed=9)
-    assert np.array_equal(a.labels, b.labels)
-    assert np.array_equal(a.centroids, b.centroids)
-    assert a.inertia == b.inertia
+    assert np.array_equal(kmeans(pts, 4, seed=9), kmeans(pts, 4, seed=9))
 
 
 def test_kmeans_first_label_zero():
     rng = np.random.default_rng(3)
     for seed in range(20):
         pts = rng.normal(size=(15, 2))
-        assert kmeans(pts, 3, seed=seed).labels[0] == 0
+        assert kmeans(pts, 3, seed=seed)[0] == 0
 
 
 def test_kmeans_too_few_points():
@@ -232,8 +228,64 @@ def test_kmeans_too_few_points():
 
 
 def test_kmeans_constant_points_no_crash():
-    assignment = kmeans(np.ones((6, 2)), 2, seed=0)
-    assert assignment.labels[0] == 0
+    assert kmeans(np.ones((6, 2)), 2, seed=0).tolist() == [0] * 6
+
+
+def reference_kmeans(points, k, seed):
+    """k-means with a separate last distance pass: the Lloyd loop runs to
+    its stop, the labels come from one more distance pass to the final
+    centroids, then ids are renumbered by first appearance."""
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    n = pts.shape[0]
+    pt_sq = (pts ** 2).sum(axis=1)
+    centroids = pts[_farthest_points(pts, pt_sq, int(rng.integers(n)), k)]
+    labels = np.full(n, -1, dtype=np.int64)
+    inertia = np.inf
+    for _ in range(_KMEANS_MAX_ITER):
+        dists = _sq_dists(pts, pt_sq, centroids)
+        new_labels = np.argmin(dists, axis=1)
+        new_inertia = float(np.take_along_axis(dists, new_labels[:, None], axis=1).sum())
+        if np.array_equal(new_labels, labels):
+            break
+        converged = abs(inertia - new_inertia) < _KMEANS_TOL
+        labels, inertia = new_labels, new_inertia
+        for j in range(k):
+            members = pts[labels == j]
+            if members.shape[0]:
+                centroids[j] = members.mean(axis=0)
+        if converged:
+            break
+    labels = np.argmin(_sq_dists(pts, pt_sq, centroids), axis=1)
+    mapping: dict[int, int] = {}
+    for lab in labels.tolist():
+        mapping.setdefault(lab, len(mapping))
+    return np.array([mapping[lab] for lab in labels.tolist()], dtype=np.int64)
+
+
+@st.composite
+def kmeans_inputs(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, min(n, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "grid", "constant"]))
+    if kind == "normal":
+        pts = rng.normal(size=(n, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    elif kind == "grid":  # few distinct values, so many duplicate points and ties
+        pts = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    else:
+        pts = np.full((n, d), rng.normal())
+    return pts, k, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kmeans_inputs())
+def test_kmeans_equals_reference(case):
+    pts, k, seed = case
+    labels = kmeans(pts, k, seed)
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, reference_kmeans(pts, k, seed))
 
 
 def one_shot_seeds(pts, first, k):

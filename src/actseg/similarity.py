@@ -15,9 +15,15 @@ from enum import Enum
 
 import numpy as np
 
-# Working-set budget of block DTW: float64 difference cells per chunk of
-# frame pairs. About 256 pairs per chunk at D=64 and one at D=2048.
-_BATCH_BYTES = 8 << 20
+# Working-set budget of the blocked kernels, in bytes of float64 cells:
+# one step of block DTW (the differences of a grid row across a chunk of
+# pairs) and one block of k-means' squared norms. Sized to stay in a core's
+# L2 cache. A DTW chunk holds 1024 frame pairs at D=64 and 32 at D=2048.
+_BATCH_BYTES = 512 << 10
+
+# From this many pairs per chunk on, a DTW scan along a grid row makes one
+# vector call per column instead of one ufunc.accumulate call.
+_WIDE_SCAN_PAIRS = 256
 
 # Lloyd iterations of k-means stop after _KMEANS_MAX_ITER steps, when the
 # labels repeat, or when the inertia changes by less than _KMEANS_TOL.
@@ -52,35 +58,81 @@ def dtw(a, b) -> float:
         raise ValueError("dtw: empty sequence")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dtw: element dims differ ({a.shape[1]} vs {b.shape[1]})")
-    cost = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
-    return float(_dtw_recurrence(cost[None])[0])
+    return float(_dtw_pairs(a[:, None], b[:, None])[0])
 
 
 def _batch_rows(cells_per_row: int) -> int:
-    """Rows of `cells_per_row` float64 cells that fit in _BATCH_BYTES (at least 1)."""
-    return max(1, _BATCH_BYTES // (8 * cells_per_row))
+    """Rows of `cells_per_row` float64 cells that fit in _BATCH_BYTES (at
+    least 1; a zero-width row counts as one cell)."""
+    return max(1, _BATCH_BYTES // (8 * max(1, cells_per_row)))
 
 
-def _dtw_recurrence(cost: np.ndarray) -> np.ndarray:
-    """Accumulated cost at the far corner of each (n, m) grid of a
-    (batch, n, m) step-cost array. Overwrites `cost` with row cumsums.
+def _dtw_pairs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Accumulated DTW cost of each pair p, aligning the sequence
+    rows[:, p] (n, d) with cols[:, p] (m, d).
 
-    Row-wise DP. Within a row the recurrence unrolls to a running minimum
-    over "enter column k from above, then move right", which vectorises:
-    D[i,j] = S[j] + cummin_k(min(prev[k], prev[k-1]) - S[k-1]), where S is
-    the row's cumulative step cost. Column 0 reduces to prev[0].
+    Row-wise DP over a chunk of pairs at a time, pairs on the last axis.
+    The step costs |rows[i] - cols[j]| of grid row i are built on the fly,
+    several rows in one go when they fit the budget, and S is their running
+    sum along the row. Within a row the recurrence unrolls to a running
+    minimum over "enter column k from above, then move right", which
+    vectorises: D[i,j] = S[j] + cummin_k(min(prev[k], prev[k-1]) - S[k-1]).
+    Column 0 reduces to prev[0].
     """
-    sums = np.cumsum(cost, axis=2, out=cost)
-    prev = sums[:, 0].copy()
-    entry = np.empty_like(prev)
-    for i in range(1, sums.shape[1]):
-        s = sums[:, i]
-        entry[:, 0] = prev[:, 0]
-        np.minimum(prev[:, 1:], prev[:, :-1], out=entry[:, 1:])
-        np.subtract(entry[:, 1:], s[:, :-1], out=entry[:, 1:])
-        np.minimum.accumulate(entry, axis=1, out=entry)
-        np.add(s, entry, out=prev)
-    return prev[:, -1]
+    n, pairs, d = rows.shape
+    m = cols.shape[0]
+    chunk = min(pairs, _batch_rows(m * d))
+    step = min(n, _batch_rows(m * chunk * d))  # grid rows costed in one go
+    out = np.empty(pairs)
+    cells = np.empty((step, m, chunk, d))
+    prev, entry = np.empty((2, m, chunk))
+    for start in range(0, pairs, chunk):
+        stop = min(start + chunk, pairs)
+        # Every grid row reads all of the chunk's cols; at d == 1 a strided
+        # read would touch a cache line per element, so copy them once.
+        col = np.ascontiguousarray(cols[:, start:stop]) if d == 1 else cols[:, start:stop]
+        p, e = prev[:, :stop - start], entry[:, :stop - start]
+        for top in range(0, n, step):
+            diff = cells[:n - top, :, :stop - start]
+            # cols - rows, not rows - cols: the squares are the same bits. A
+            # copy and an in-place subtract measured about 20% faster than one
+            # out-of-place subtract on correction blocks at d = 2048.
+            np.copyto(diff, col)
+            np.subtract(diff, rows[top:top + step, None, start:stop], out=diff)
+            np.square(diff, out=diff)
+            # Summing a length-1 axis changes no value but costs time.
+            cost = diff[..., 0] if d == 1 else np.add.reduce(diff, axis=3)
+            # sqrt of the square, not abs: they differ where it underflows.
+            np.sqrt(cost, out=cost)
+            _scan(np.add, cost)
+            for i, s in enumerate(cost, start=top):
+                if i == 0:
+                    p[...] = s
+                    continue
+                e[0] = p[0]
+                np.minimum(p[1:], p[:-1], out=e[1:])
+                np.subtract(e[1:], s[:-1], out=e[1:])
+                _scan(np.minimum, e)
+                np.add(s, e, out=p)
+        out[start:stop] = p[-1]
+    return out
+
+
+def _scan(ufunc: np.ufunc, a: np.ndarray) -> None:
+    """In-place inclusive scan of `ufunc` along the grid columns, axis -2,
+    of an (..., m, pairs) array.
+
+    ufunc.accumulate walks each pair's column with a stride of a whole
+    row, which is several times slower than one vector call per column
+    once a row holds a few hundred pairs. Both apply the same operation to
+    the same operands in the same order, so the results are identical.
+    """
+    if a.shape[-1] < _WIDE_SCAN_PAIRS:
+        ufunc.accumulate(a, axis=-2, out=a)
+        return
+    columns = list(np.moveaxis(a, -2, 0))
+    for left, column in zip(columns, columns[1:]):
+        ufunc(left, column, out=column)
 
 
 def kmeans(points, k: int, seed: int) -> np.ndarray:
@@ -106,7 +158,10 @@ def _lloyd(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Nearest-centroid labels once they repeat, once the step before moved
     the inertia by less than _KMEANS_TOL, or after _KMEANS_MAX_ITER updates."""
     n = pts.shape[0]
-    pt_sq = (pts ** 2).sum(axis=1)  # squared norms, fixed for every step
+    # Squared norms, fixed for every step, in row blocks: no n x D temporary.
+    rows = _batch_rows(pts.shape[1])
+    pt_sq = np.concatenate([np.square(pts[i:i + rows]).sum(axis=1)
+                            for i in range(0, n, rows)])
     centroids = pts[_farthest_points(pts, pt_sq, int(rng.integers(n)), k)]
 
     labels = np.full(n, -1, dtype=np.int64)
@@ -187,8 +242,9 @@ def block_similarity(blocks, metric: Metric) -> np.ndarray:
     RuntimeWarning per call instead of aborting, so padded or silent
     frames do not kill a whole video. DTW aligns the blocks' s d-vectors
     and equals dtw(blocks[j], blocks[j+1]) bit for bit: the pairs run
-    through the same recurrence, a chunk of pairs at a time, each chunk
-    holding about _BATCH_BYTES of float64 difference cells.
+    through the same recurrence, a chunk of pairs at a time, one grid row
+    (or a few, for small chunks) per step, each step holding at most
+    _BATCH_BYTES of float64 difference cells unless one pair's row needs more.
     """
     blocks = np.asarray(blocks, dtype=np.float64)
     if blocks.ndim != 3 or blocks.shape[0] < 2 or 0 in blocks.shape:
@@ -206,20 +262,6 @@ def block_similarity(blocks, metric: Metric) -> np.ndarray:
                           RuntimeWarning, stacklevel=2)
             scores[degenerate] = 0.0
         return scores
-    m, s, d = blocks.shape
-    pairs = m - 1
-    chunk = _batch_rows(s * s * d)
-    out = np.empty(pairs)
-    diff = np.empty((min(chunk, pairs), s, s, d))
-    for start in range(0, pairs, chunk):
-        stop = min(start + chunk, pairs)
-        cells = diff[:stop - start]
-        np.subtract(blocks[start:stop, :, None], blocks[start + 1:stop + 1, None], out=cells)
-        np.square(cells, out=cells)
-        # Summing a length-1 axis changes no value but costs ~20% at d == 1.
-        cost = cells[..., 0] if d == 1 else cells.sum(axis=3)
-        # sqrt of the square, as dtw() computes it, not abs: they differ
-        # where the square underflows.
-        np.sqrt(cost, out=cost)
-        out[start:stop] = _dtw_recurrence(cost)
-    return out
+    # t[i, j] is frame i of block j, so pair j is (t[:, j], t[:, j + 1]).
+    t = blocks.transpose(1, 0, 2)
+    return _dtw_pairs(t[:, :-1], t[:, 1:])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actseg.core import LabelSequence
@@ -162,6 +162,33 @@ def test_smooth_stride_one_runs():
     labels = seq(np.repeat([A, B], [10, 10]))
     out = smooth(labels, SmoothConfig(s_win=4, stride=1))
     assert len(out) == 20
+
+
+@st.composite
+def labelled(draw):
+    classes = draw(st.integers(1, 5))
+    values = draw(st.lists(st.integers(0, classes - 1), min_size=1, max_size=60))
+    return seq(values, classes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled(), st.just("auto") | st.integers(1, 12), st.none() | st.integers(1, 12))
+# The last W1 and its short W2 agree on A; frame 4 is past the last W1.
+@example(seq([A, A, A, A, B, A, A], 2), 4, None)
+def test_smooth_invariants(labels, s_win, stride):
+    cfg = SmoothConfig(s_win=s_win, stride=stride)
+    out = smooth(labels, cfg)
+    assert len(out) == len(labels)
+    assert out.class_count == labels.class_count
+    assert set(out.labels.tolist()) <= set(labels.labels.tolist())
+    # W1 windows start at 0, stride, 2 * stride, ... while they fit.
+    width = auto_s_win(labels) if s_win == "auto" else s_win
+    step = stride or width
+    fits = len(labels) - width
+    untouched = fits // step * step + width if fits >= 0 else 0
+    assert out.labels[untouched:].tolist() == labels.labels[untouched:].tolist()
+    constant = seq(np.full(len(labels), labels.labels[0]), labels.class_count)
+    assert smooth(constant, cfg) == constant
 
 
 # -------------------------------------------------------------- auto_s_win

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from actseg import similarity
 from actseg.core import FeatureSequence
 from actseg.detect import frame_scores
-from actseg.similarity import (_KMEANS_MAX_ITER, _KMEANS_TOL, Metric, _batch_rows,
-                               _farthest_points, _sq_dists, block_similarity, dtw,
-                               kmeans, transition_index)
+from actseg.similarity import (_KMEANS_MAX_ITER, _KMEANS_TOL, _WIDE_SCAN_PAIRS, Metric,
+                               _batch_rows, _farthest_points, _sq_dists, block_similarity,
+                               dtw, kmeans, transition_index)
 
 
 # ---------------------------------------------------- block_similarity cosine
@@ -108,6 +110,7 @@ def brute_force_dtw(a, b):
 def test_dtw_identity():
     x = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
     assert dtw(x, x) == 0.0
+    assert dtw(np.zeros((2, 0)), np.zeros((3, 0))) == 0.0  # zero-width vectors
 
 
 def test_dtw_single_pair():
@@ -149,30 +152,65 @@ def test_dtw_errors():
 # ------------------------------------------------------- block_similarity dtw
 
 def test_dtw_chunk_sizes():
-    assert _batch_rows(64 * 64) == 256
-    assert _batch_rows(2048 * 2048) == 1
+    # pairs per chunk: one pair's grid row is s * d cells
+    assert _batch_rows(64 * 1) == 1024  # frames as series at --dim-reduce 64
+    assert _batch_rows(2048 * 1) == 32  # frames as series at full D
+    assert _batch_rows(4 * 2048) == 8  # 4-frame correction blocks
+
+
+# (s, d) block shapes: the frame-as-series blocks frame_scores passes, a
+# block of frames as correction passes, and small odd ones.
+BLOCK_SHAPES = [(1, 1), (3, 1), (64, 1), (2, 3), (4, 7), (16, 512)]
+
+
+def chunk_cases(s, d):
+    """(pairs per chunk, pair counts) to run an (s, d) block shape with: m - 1
+    on either side of a chunk edge, and below one chunk, where a step costs
+    several grid rows. Chunks of _WIDE_SCAN_PAIRS take the per-column scan,
+    the others accumulate."""
+    for chunk in [1, 2, 3] + ([_WIDE_SCAN_PAIRS] if s * d <= 64 else []):
+        yield chunk, [p for p in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1) if p >= 1]
+
+
+def block_dtw_with_chunk(blocks, chunk):
+    """block_similarity(blocks, DTW) under a budget of `chunk` pairs per chunk."""
+    _, s, d = blocks.shape
+    with mock.patch.object(similarity, "_BATCH_BYTES", 8 * s * d * chunk):
+        return block_similarity(blocks, Metric.DTW)
+
+
+def per_pair_dtw(blocks):
+    return np.array([dtw(blocks[j], blocks[j + 1]) for j in range(len(blocks) - 1)])
 
 
 @st.composite
 def block_stacks(draw):
-    """(m, s, d) stacks. Where a chunk holds at most 16 pairs, m - 1 sits
-    on either side of a chunk edge: at (s, d) = (256, 1) and (362, 1), the
-    frame-as-series shape frame_scores passes, and at (16, 512), a block of
-    frames as correction passes."""
-    s, d = draw(st.sampled_from([(1, 1), (3, 1), (256, 1), (362, 1),
-                                 (2, 3), (4, 7), (16, 512)]))
-    chunk = _batch_rows(s * s * d)
-    pairs = [1, chunk - 1, chunk, chunk + 1] if chunk <= 16 else [1, 2, 5]
-    m = draw(st.sampled_from(pairs)) + 1
-    return draw(arrays(np.float64, (m, s, d),
-                       elements=st.floats(-1e3, 1e3, allow_nan=False)))
+    """(chunk, blocks): an (m, s, d) stack and the pairs per chunk to run it with."""
+    s, d = draw(st.sampled_from(BLOCK_SHAPES))
+    chunk, pair_counts = draw(st.sampled_from(list(chunk_cases(s, d))))
+    pairs = draw(st.sampled_from(pair_counts))
+    blocks = draw(arrays(np.float64, (pairs + 1, s, d),
+                         elements=st.floats(-1e3, 1e3, allow_nan=False)))
+    return chunk, blocks
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(block_stacks())
-def test_block_dtw_equals_per_pair_dtw(blocks):
-    want = np.array([dtw(blocks[j], blocks[j + 1]) for j in range(len(blocks) - 1)])
-    assert np.array_equal(block_similarity(blocks, Metric.DTW), want)
+def test_block_dtw_equals_per_pair_dtw(stack):
+    chunk, blocks = stack
+    assert np.array_equal(block_dtw_with_chunk(blocks, chunk), per_pair_dtw(blocks))
+
+
+def test_block_dtw_every_chunk_case():
+    # Every case the strategy above samples from, so that each chunk edge,
+    # multi-row step and scan branch runs on every test run.
+    rng = np.random.default_rng(9)
+    for s, d in BLOCK_SHAPES:
+        for chunk, pair_counts in chunk_cases(s, d):
+            for pairs in pair_counts:
+                blocks = rng.normal(scale=100.0, size=(pairs + 1, s, d))
+                assert np.array_equal(block_dtw_with_chunk(blocks, chunk),
+                                      per_pair_dtw(blocks)), (s, d, chunk, pairs)
 
 
 def test_block_similarity_rejects_non_stack():
@@ -229,6 +267,7 @@ def test_kmeans_too_few_points():
 
 def test_kmeans_constant_points_no_crash():
     assert kmeans(np.ones((6, 2)), 2, seed=0).tolist() == [0] * 6
+    assert kmeans(np.ones((6, 0)), 2, seed=0).tolist() == [0] * 6  # zero-width points
 
 
 def reference_kmeans(points, k, seed):

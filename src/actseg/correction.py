@@ -29,11 +29,10 @@ _MAX_ITERATIONS = 16
 
 @dataclass(frozen=True)
 class WindowState:
-    """Half-open frame window under refinement, in segment_size steps."""
+    """Half-open frame window under refinement, a whole number of b_seg wide."""
 
     start: int
     end: int
-    segment_size: int
 
 
 @dataclass(frozen=True)
@@ -49,9 +48,12 @@ class IterationProposals:
 class BoundaryRecord:
     original: int
     corrected: int
-    iterations: int
     proposals: tuple[IterationProposals, ...]
     window: WindowState | None = None  # clamped extent the rewrite was confined to
+
+    @property
+    def iterations(self) -> int:
+        return len(self.proposals)
 
 
 @dataclass(frozen=True)
@@ -132,30 +134,28 @@ def _clamped_window(idx: tuple[int, ...], pos: int, total: int,
     end = start + width
     if not start < boundary < end:
         return None
-    return WindowState(start, end, b_seg)
+    return WindowState(start, end)
 
 
 def _refine_window(values: np.ndarray, start: int, end: int, b_seg: int, seed: int):
     """Shrink [start, end) around the likeliest transition sub-segment.
 
-    Stops when the window cannot be narrowed further (width <= 2 * b_seg
-    with no progress) or after _MAX_ITERATIONS. Nominations index the
-    first sub-segment of the new action, matching transition_index.
+    The window is a whole number of b_seg wide, and it stays so: every step
+    moves its ends by whole sub-segments. Stops when the window cannot be
+    narrowed further (width <= 2 * b_seg with no progress) or after
+    _MAX_ITERATIONS. Nominations index the first sub-segment of the new
+    action, matching transition_index.
     """
     history: list[IterationProposals] = []
-    iterations = 0
-    while end - start > b_seg and iterations < _MAX_ITERATIONS:
+    while end - start > b_seg and len(history) < _MAX_ITERATIONS:
         m = (end - start) // b_seg
-        if m < 2:
-            break
-        segs = values[start:start + m * b_seg].reshape(m, b_seg, values.shape[1])
+        segs = values[start:end].reshape(m, b_seg, values.shape[1])
         p_cos = int(np.argmin(block_similarity(segs, Metric.COSINE))) + 1
         p_dtw = int(np.argmax(block_similarity(segs, Metric.DTW))) + 1
         # Each sub-segment's majority cluster; the k=2 ids are 0/1 and a tie goes to 0.
-        ones = kmeans(values[start:end], 2, seed)[:m * b_seg].reshape(m, b_seg).sum(axis=1)
+        ones = kmeans(values[start:end], 2, seed).reshape(m, b_seg).sum(axis=1)
         p_clu = transition_index(2 * ones > b_seg)
         history.append(IterationProposals(p_cos, p_dtw, p_clu))
-        iterations += 1
 
         proposals = [p_cos, p_dtw] + ([p_clu] if p_clu is not None else [])
         lo, hi = min(proposals), max(proposals)
@@ -167,19 +167,7 @@ def _refine_window(values: np.ndarray, start: int, end: int, b_seg: int, seed: i
             start, end = start + b_seg, end - b_seg
         else:
             break  # narrow enough for the final frame-level clustering
-    return start, end, iterations, tuple(history)
-
-
-def _correct_in_window(values: np.ndarray, boundary: int, window: WindowState,
-                       seed: int) -> BoundaryRecord:
-    start, end, iterations, history = _refine_window(values, window.start, window.end,
-                                                     window.segment_size, seed)
-    corrected = boundary
-    if end - start >= 2:
-        idx = transition_index(kmeans(values[start:end], 2, seed))
-        if idx is not None:
-            corrected = start + idx
-    return BoundaryRecord(boundary, corrected, iterations, history, window)
+    return start, end, tuple(history)
 
 
 def correct_all(feat: FeatureSequence, labels: LabelSequence,
@@ -204,12 +192,16 @@ def correct_all(feat: FeatureSequence, labels: LabelSequence,
     for pos, boundary in enumerate(bounds.indices):
         window = _clamped_window(bounds.indices, pos, feat.frames, b_win, b_seg)
         if window is None:
-            records.append(BoundaryRecord(boundary, boundary, 0, ()))
+            records.append(BoundaryRecord(boundary, boundary, ()))
             continue
-        record = _correct_in_window(feat.values, boundary, window, seed)
-        records.append(record)
         ws, we = window.start, window.end
-        corrected = record.corrected
+        start, end, history = _refine_window(feat.values, ws, we, b_seg, seed)
+        corrected = boundary
+        if end - start >= 2:
+            idx = transition_index(kmeans(feat.values[start:end], 2, seed))
+            if idx is not None:
+                corrected = start + idx
+        records.append(BoundaryRecord(boundary, corrected, history, window))
         out[ws:min(corrected, we)] = original[boundary - 1]
         out[max(corrected, ws):we] = original[boundary]
     return LabelSequence(out, labels.class_count), CorrectionReport(tuple(records))

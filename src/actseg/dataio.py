@@ -12,6 +12,7 @@ file + rename).
 from __future__ import annotations
 
 import ast
+import math
 import os
 import struct
 import tempfile
@@ -95,7 +96,7 @@ def read_array(path) -> np.ndarray:
         raise FormatError(f"{path}: Fortran-order arrays are not supported; "
                           "re-save the array in C order")
     dtype = np.dtype(descr)
-    count = int(np.prod(shape, dtype=np.int64))
+    count = math.prod(shape)  # exact: an int64 product could wrap to a small count
     expected, available = count * dtype.itemsize, len(raw) - header_end
     if available < expected:
         raise FormatError(f"{path}: truncated data at byte {header_end} "

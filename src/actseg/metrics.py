@@ -6,10 +6,14 @@ matching for unsupervised outputs.
 as a batch of one, so a video's score and its share of a corpus score are
 computed by the same code.
 
-Segmental F1 counts a predicted segment as a true positive when it can be
-assigned one-to-one to an unconsumed ground-truth segment of the same class
-with IoU at or above the threshold; the assignment maximises the number of
-matches, which also makes F1 non-increasing in the threshold.
+Segmental F1 counts a predicted segment as a true positive when a maximum
+one-to-one matching pairs it with a ground-truth segment of the same class
+at IoU at or above the threshold; a maximum matching also makes F1
+non-increasing in the threshold. With the threshold above 0 every feasible
+pair overlaps, and each side's segments (also after `ignore`) are disjoint
+and in time order, so feasible pairs never cross. Walking the predictions in
+order, each taking the first feasible ground-truth segment after the last
+match, therefore gives a maximum matching without an assignment solver.
 """
 
 from __future__ import annotations
@@ -104,26 +108,24 @@ def _segments(labels: LabelSequence, ignore: frozenset[int]) -> list[Segment]:
 
 def segment_match_counts(pred: LabelSequence, gt: LabelSequence, threshold: float,
                          ignore: frozenset[int] = frozenset()) -> tuple[int, int, int]:
-    """(TP, FP, FN) under one-to-one class-constrained segment matching.
-
-    The assignment maximises the number of (same class, IoU >= threshold)
-    pairs, with each ground-truth segment consumed at most once.
-    """
+    """(TP, FP, FN) under a maximum one-to-one matching of (same class,
+    IoU >= threshold) segment pairs, for a threshold in (0, 1)."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"iou_threshold must lie in (0, 1), got {threshold}")
     _check_lengths(pred, gt)
     pred_segs = _segments(pred, ignore)
     gt_segs = _segments(gt, ignore)
-    if not pred_segs or not gt_segs:
-        return 0, len(pred_segs), len(gt_segs)
-    feasible = np.zeros((len(pred_segs), len(gt_segs)))
-    for i, ps in enumerate(pred_segs):
-        for j, gs in enumerate(gt_segs):
-            if ps.label == gs.label and _iou(ps, gs) >= threshold:
-                feasible[i, j] = 1.0
-    tp = 0
-    if feasible.any():
-        from scipy.optimize import linear_sum_assignment  # slow import, needed only here
-        rows, cols = linear_sum_assignment(feasible, maximize=True)
-        tp = int(feasible[rows, cols].sum())
+    # Feasible pairs never cross: for p1 < p2 and g1 < g2, a g1 overlapping p2
+    # ends after p1 ends, so g2 cannot overlap p1. The first feasible g wins.
+    tp = first = 0
+    for ps in pred_segs:
+        for j in range(first, len(gt_segs)):
+            gs = gt_segs[j]
+            if gs.start >= ps.end:
+                break
+            if gs.label == ps.label and _iou(ps, gs) >= threshold:
+                tp, first = tp + 1, j + 1
+                break
     return tp, len(pred_segs) - tp, len(gt_segs) - tp
 
 
@@ -136,9 +138,7 @@ def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
 
 def f1_at(pred: LabelSequence, gt: LabelSequence, iou_threshold: float,
           ignore: frozenset[int] = frozenset()) -> float:
-    """Segmental F1 at one IoU threshold, as a percentage."""
-    if not 0.0 < iou_threshold < 1.0:
-        raise ValueError(f"iou_threshold must lie in (0, 1), got {iou_threshold}")
+    """Segmental F1 at one IoU threshold in (0, 1), as a percentage."""
     return _f1_from_counts(*segment_match_counts(pred, gt, iou_threshold, ignore))
 
 

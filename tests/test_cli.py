@@ -161,6 +161,17 @@ def _negative_dim_npy(tmp_path):
                   "--out-bounds", str(tmp_path / "b.txt")], "byte 10"
 
 
+def _overflowing_shape_npy(tmp_path):
+    # 2**32 * 2**32 elements wraps to 0 in int64 arithmetic
+    path = tmp_path / "wrap.npy"
+    dataio.write_array(path, np.ones((2, 3)))
+    shape = b"(4294967296, 4294967296), }"
+    old = b"(2, 3), }" + b" " * (len(shape) - len(b"(2, 3), }"))  # same header length
+    path.write_bytes(path.read_bytes().replace(old, shape))
+    return path, ["detect", str(path), "--num-classes", "2",
+                  "--out-bounds", str(tmp_path / "b.txt")], "truncated data at byte"
+
+
 def _zero_frame_npy(tmp_path):
     path = tmp_path / "empty.npy"
     dataio.write_array(path, np.ones((2048, 0)))
@@ -182,7 +193,8 @@ def _oversized_label_id(tmp_path):
         f"{path}:2: class id '99999999999999999999' does not fit in int64"
 
 
-@pytest.mark.parametrize("bad_input", [_negative_dim_npy, _zero_frame_npy, _negative_label_id,
+@pytest.mark.parametrize("bad_input", [_negative_dim_npy, _overflowing_shape_npy,
+                                       _zero_frame_npy, _negative_label_id,
                                        _oversized_label_id])
 def test_bad_input_exit_2_names_file(tmp_path, capsys, bad_input):
     path, argv, detail = bad_input(tmp_path)
@@ -191,12 +203,18 @@ def test_bad_input_exit_2_names_file(tmp_path, capsys, bad_input):
     assert f"error: {path}" in err and detail in err
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+@pytest.mark.parametrize("snippet", [
+    "pass",
+    "d = sys.argv[1]; assert actseg.cli.main(['eval', d + '/predictions', d + '/groundTruth',"
+    " '--mapping', d + '/mapping.txt']) == 0",
+], ids=["import", "eval"])
+def test_cli_import_leaves_scipy_optimize_unloaded(synth_dir, snippet):
     # scipy.optimize is most of the CLI's start-up; only label matching needs it
     src = str(Path(actseg.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, actseg.cli; sys.exit('scipy.optimize' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = f"import sys, actseg.cli\n{snippet}\nsys.exit('scipy.optimize' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code, str(synth_dir)], env=env)
+    assert run.returncode == 0
 
 
 def test_smooth_single_file_auto(synth_dir, tmp_path):

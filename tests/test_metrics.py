@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actseg.core import BoundarySet, LabelSequence, from_boundaries
+from actseg.core import BoundarySet, LabelSequence, from_boundaries, to_timeline
 from actseg.metrics import (EvalOptions, boundary_f1, edit_score, evaluate,
                             evaluate_batch, f1_at, greedy_label_match,
                             hungarian_label_match, mean_result,
@@ -149,12 +149,11 @@ def _random_segmentation(rng, total=None, max_segments=6, classes=3):
     return from_boundaries(BoundarySet(tuple(cuts)), runs, total, classes)
 
 
-def brute_force_tp(pred, gt, thr):
+def brute_force_tp(pred, gt, thr, ignore=frozenset()):
     """Best one-to-one class-constrained matching by full enumeration."""
-    from actseg.core import to_timeline
     from actseg.metrics import _iou
-    ps = list(to_timeline(pred))
-    gs = list(to_timeline(gt))
+    ps = [p for p in to_timeline(pred) if p.label not in ignore]
+    gs = [g for g in to_timeline(gt) if g.label not in ignore]
     edges = [[j for j, g in enumerate(gs)
               if g.label == p.label and _iou(p, g) >= thr] for p in ps]
 
@@ -172,12 +171,25 @@ def brute_force_tp(pred, gt, thr):
 
 def test_f1_matches_brute_force():
     rng = np.random.default_rng(5)
-    for _ in range(150):
+    for case in range(150):
         pred = _random_segmentation(rng)
         gt = _random_segmentation(rng, total=len(pred))
-        for thr in (0.10, 0.25, 0.50):
-            tp, _, _ = segment_match_counts(pred, gt, thr)
-            assert tp == brute_force_tp(pred, gt, thr)
+        # every other case drops a class, which can leave same-class neighbours
+        ignore = frozenset({int(rng.integers(0, 3))}) if case % 2 else frozenset()
+        for thr in (0.01, 0.10, 0.25, 0.50, 0.99):
+            tp, fp, fn = segment_match_counts(pred, gt, thr, ignore)
+            assert tp == brute_force_tp(pred, gt, thr, ignore)
+            assert tp + fp == sum(s.label not in ignore for s in to_timeline(pred))
+            assert tp + fn == sum(s.label not in ignore for s in to_timeline(gt))
+
+
+@pytest.mark.parametrize("thr", [0.0, 1.0])
+def test_iou_threshold_outside_open_unit_interval_rejected(thr):
+    s = labels_from_segments([(A, 0, 10), (B, 10, 20)])
+    with pytest.raises(ValueError, match="iou_threshold must lie in"):
+        segment_match_counts(s, s, thr)
+    with pytest.raises(ValueError, match="iou_threshold must lie in"):
+        f1_at(s, s, thr)
 
 
 # ------------------------------------------------------------- boundary_f1

@@ -16,8 +16,7 @@ from .detect import (MethodProposals, auto_b_intrv, cluster_bounds, detect,
                      frame_scores, mean_filter, merge_mean, remove_close,
                      segment_labels)
 from .metrics import (EvalOptions, EvalResult, boundary_f1, edit_score,
-                      evaluate, evaluate_batch, f1_at, greedy_label_match,
-                      hungarian_label_match)
+                      evaluate, evaluate_batch, f1_at, hungarian_label_match)
 from .postprocess import (PredictionSet, SmoothConfig, auto_s_win, smooth,
                           vote)
 from .similarity import Metric, block_similarity, dtw, kmeans, transition_index
@@ -34,7 +33,7 @@ __all__ = [
     "frame_scores", "mean_filter", "merge_mean", "remove_close",
     "segment_labels",
     "EvalOptions", "EvalResult", "boundary_f1", "edit_score", "evaluate",
-    "evaluate_batch", "f1_at", "greedy_label_match", "hungarian_label_match",
+    "evaluate_batch", "f1_at", "hungarian_label_match",
     "PredictionSet", "SmoothConfig", "auto_s_win", "smooth", "vote",
     "Metric", "block_similarity", "dtw", "kmeans", "transition_index",
     "SynthSpec", "generate", "perturb_boundaries",

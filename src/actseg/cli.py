@@ -22,14 +22,12 @@ from .core import AUTO, CorrectionConfig, DetectConfig, LabelSequence
 from .correction import correct_all
 from .detect import detect, segment_labels
 from .metrics import (THRESHOLDS, EvalOptions, EvalResult, evaluate_batch,
-                      greedy_label_match, hungarian_label_match, mean_result)
+                      hungarian_label_match, mean_result)
 from .postprocess import PredictionSet, SmoothConfig, auto_s_win, smooth, vote
 from .render import render_svg, render_text
 from .synth import SynthSpec, generate, perturb_boundaries
 
 log = logging.getLogger("actseg")
-
-DATA_ROOT_ENV = "ACTSEG_DATA_ROOT"
 
 # Full-D DTW costs (T - 1) * D^2 cells; 1e9 is about 14 s at 2048-D
 # (about 0.06 s per frame pair on one core).
@@ -46,19 +44,7 @@ def _default_jobs() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def _resolve(path: Path) -> Path:
-    """Fall back to $ACTSEG_DATA_ROOT for inputs given as relative names."""
-    path = Path(path)
-    if path.exists():
-        return path
-    root = os.environ.get(DATA_ROOT_ENV)
-    if root and not path.is_absolute() and (Path(root) / path).exists():
-        return Path(root) / path
-    return path
-
-
 def _collect(path: Path, suffix: str) -> tuple[list[tuple[str, Path]], bool]:
-    path = _resolve(path)
     if path.is_dir():
         files = sorted(p for p in path.iterdir() if p.suffix == suffix)
         if not files:
@@ -100,7 +86,6 @@ def _each_video(jobs: int, items: list, run, write) -> int:
 
 
 def _pair_inputs(features: Path, labels: Path) -> tuple[list[tuple[str, Path, Path]], bool]:
-    labels = _resolve(labels)
     feat_items, batch = _collect(features, ".npy")
     if batch != labels.is_dir():
         raise ValueError("features and predictions must both be files or both be directories")
@@ -110,7 +95,7 @@ def _pair_inputs(features: Path, labels: Path) -> tuple[list[tuple[str, Path, Pa
 
 
 def _load_mapping(args) -> dataio.ClassMapping | None:
-    return dataio.load_mapping(_resolve(args.mapping)) if args.mapping else None
+    return dataio.load_mapping(args.mapping) if args.mapping else None
 
 
 # ---------------------------------------------------------------- detect
@@ -207,11 +192,10 @@ def _cmd_smooth(args) -> int:
 
 def _cmd_vote(args) -> int:
     mapping = _load_mapping(args)
-    paths = [_resolve(p) for p in args.predictions]
-    sources = tuple(dataio.load_labels(p, mapping) for p in paths)
-    for path, source in zip(paths[1:], sources[1:]):
+    sources = tuple(dataio.load_labels(p, mapping) for p in args.predictions)
+    for path, source in zip(args.predictions[1:], sources[1:]):
         if len(source) != len(sources[0]):
-            raise dataio.DataError(f"{path}: {len(source)} frames, but {paths[0]} "
+            raise dataio.DataError(f"{path}: {len(source)} frames, but {args.predictions[0]} "
                                    f"has {len(sources[0])}")
     if mapping is None:
         # Each id file infers its class count from its own largest id.
@@ -234,8 +218,7 @@ def _read_split(path: Path) -> list[str]:
 
 
 def _cmd_eval(args) -> int:
-    pred_dir = _resolve(args.pred_dir)
-    gt_dir = _resolve(args.gt_dir)
+    pred_dir, gt_dir = args.pred_dir, args.gt_dir
     if not pred_dir.is_dir() or not gt_dir.is_dir():
         raise ValueError("eval expects prediction and ground-truth directories")
     mapping = _load_mapping(args)
@@ -243,7 +226,7 @@ def _cmd_eval(args) -> int:
     try:
         ignore = frozenset(mapping.id_of(n) if mapping else int(n) for n in args.ignore or [])
     except KeyError as exc:
-        raise ValueError(f"--ignore: {exc.args[0]} in {_resolve(args.mapping)}") from None
+        raise ValueError(f"--ignore: {exc.args[0]} in {args.mapping}") from None
     except ValueError:
         raise ValueError(f"--ignore: without --mapping, class ids must be integers, "
                          f"got {' '.join(args.ignore)}") from None
@@ -260,14 +243,12 @@ def _cmd_eval(args) -> int:
                                    f"{gt_path} has {len(gt)}")
         if args.label_match == "hungarian":
             pred = hungarian_label_match(pred, gt)
-        elif args.label_match == "greedy":
-            pred = greedy_label_match(pred, gt)
         return pred, gt
 
     rows: list[tuple[str, EvalResult]] = []
     failed = 0
     for bundle in args.splits or [None]:
-        ids = _read_split(_resolve(bundle)) if bundle else sorted(gt_items)
+        ids = _read_split(bundle) if bundle else sorted(gt_items)
         pairs = []
         failed = _each_video(args.jobs, ids, load_pair, pairs.append) or failed
         if not failed:
@@ -301,6 +282,10 @@ def _format_table(rows: list[tuple[str, EvalResult]]) -> str:
 # ---------------------------------------------------------------- synth
 
 def _cmd_synth(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
+    if args.perturb < 0:
+        raise ValueError(f"--perturb must be >= 0, got {args.perturb}")
     out = Path(args.out_dir)
     features_dir = out / "features"
     gt_dir = out / "groundTruth"
@@ -338,15 +323,15 @@ def _cmd_synth(args) -> int:
 
 def _cmd_plot(args) -> int:
     mapping = _load_mapping(args)
-    rows = [(Path(p).stem, dataio.load_labels(_resolve(p), mapping)) for p in args.labels]
+    rows = [(p.stem, dataio.load_labels(p, mapping)) for p in args.labels]
     if args.text:
-        sys.stdout.write(render_text(rows, width=args.width or 72))
+        sys.stdout.write(render_text(rows, args.width if args.width is not None else 72))
         return 0
     if not args.out:
         raise ValueError("plot needs --out FILE.svg (or --text)")
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(render_svg(rows, width=args.width or 1000))
+    svg = render_svg(rows, args.width if args.width is not None else 1000)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    args.out.write_text(svg)
     return 0
 
 
@@ -415,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="0-based index of the tie-breaking source (default: last)")
     p.add_argument("--mapping", type=Path, default=None)
     p.add_argument("--out", type=Path, required=True)
-    add_common(p, jobs=False)
     p.set_defaults(func=_cmd_vote)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
@@ -424,8 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mapping", type=Path, default=None)
     p.add_argument("--pred-format", choices=["names", "ids"], default="names",
                    help="prediction files hold class names or bare integer ids")
-    p.add_argument("--label-match", choices=["none", "hungarian", "greedy"],
-                   default="none",
+    p.add_argument("--label-match", choices=["none", "hungarian"], default="none",
                    help="relabel arbitrary prediction ids before scoring")
     p.add_argument("--splits", nargs="+", type=Path, default=None,
                    help="split bundle files (one video id per line)")

@@ -132,10 +132,6 @@ class SegmentTimeline:
                 raise ValueError(f"consecutive segments share class {a.label}")
         object.__setattr__(self, "segments", segs)
 
-    @property
-    def total_frames(self) -> int:
-        return self.segments[-1].end
-
     def __iter__(self) -> Iterator[Segment]:
         return iter(self.segments)
 
@@ -164,16 +160,16 @@ def boundaries_of(labels: LabelSequence) -> BoundarySet:
 
 
 def from_boundaries(bounds: BoundarySet, labels_per_segment: Sequence[int],
-                    total_frames: int, class_count: int | None = None) -> LabelSequence:
+                    frames: int, class_count: int | None = None) -> LabelSequence:
     """Inverse of boundaries_of: build labels from boundaries and run classes."""
     classes = [int(c) for c in labels_per_segment]
     if len(classes) != len(bounds) + 1:
         raise ValueError(f"need {len(bounds) + 1} segment classes for {len(bounds)} "
                          f"boundaries, got {len(classes)}")
-    edges = [0, *bounds.indices, total_frames]
-    if edges[-2] >= total_frames:
-        raise ValueError(f"boundary {edges[-2]} outside [1, {total_frames - 1}]")
-    arr = np.empty(total_frames, dtype=np.int64)
+    edges = [0, *bounds.indices, frames]
+    if edges[-2] >= frames:
+        raise ValueError(f"boundary {edges[-2]} outside [1, {frames - 1}]")
+    arr = np.empty(frames, dtype=np.int64)
     for cls, start, end in zip(classes, edges[:-1], edges[1:]):
         arr[start:end] = cls
     if class_count is None:

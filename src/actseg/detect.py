@@ -14,7 +14,8 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .core import AUTO, BoundarySet, DetectConfig, FeatureSequence, LabelSequence
+from .core import (AUTO, BoundarySet, DetectConfig, FeatureSequence, LabelSequence,
+                   boundaries_of)
 # dtw is unused here but stays bound: bench/spans.py wraps actseg.detect.dtw
 # by name.
 from .similarity import Metric, block_similarity, dtw, kmeans  # noqa: F401
@@ -73,8 +74,7 @@ def cluster_bounds(feat: FeatureSequence, num_classes: int, seed: int) -> Bounda
     """Boundaries where the global k-means frame label changes."""
     if feat.frames < num_classes:
         raise ValueError(f"too few frames: {feat.frames} < num_classes {num_classes}")
-    labels = kmeans(feat.values, num_classes, seed)
-    return BoundarySet(tuple(int(i) for i in np.flatnonzero(labels[1:] != labels[:-1]) + 1))
+    return boundaries_of(LabelSequence(kmeans(feat.values, num_classes, seed), num_classes))
 
 
 def remove_close(bounds: BoundarySet, b_intrv: int) -> BoundarySet:

@@ -169,14 +169,6 @@ def boundary_f1(pred_bounds: BoundarySet, gt_bounds: BoundarySet, tolerance: int
     return _f1_from_counts(*boundary_match_counts(pred_bounds, gt_bounds, tolerance))
 
 
-def _overlap(pred: LabelSequence, gt: LabelSequence) -> np.ndarray:
-    """Frame counts of each (prediction id, ground-truth class) pair."""
-    _check_lengths(pred, gt)
-    overlap = np.zeros((pred.class_count, gt.class_count))
-    np.add.at(overlap, (pred.labels, gt.labels), 1.0)
-    return overlap
-
-
 def hungarian_label_match(pred: LabelSequence, gt: LabelSequence) -> LabelSequence:
     """Relabel arbitrary prediction ids by optimal one-to-one assignment to
     ground-truth classes, maximising total frame overlap.
@@ -184,21 +176,13 @@ def hungarian_label_match(pred: LabelSequence, gt: LabelSequence) -> LabelSequen
     Prediction ids left without a partner map to a reserved extra class
     (gt.class_count), so the result never collides with a real class.
     """
-    overlap = _overlap(pred, gt)
+    _check_lengths(pred, gt)
+    overlap = np.zeros((pred.class_count, gt.class_count))  # frames per (pred id, gt class)
+    np.add.at(overlap, (pred.labels, gt.labels), 1.0)
     from scipy.optimize import linear_sum_assignment  # slow import, needed only here
     rows, cols = linear_sum_assignment(overlap, maximize=True)
     mapping = np.full(pred.class_count, gt.class_count, dtype=np.int64)
     mapping[rows] = cols
-    return LabelSequence(mapping[pred.labels], gt.class_count + 1)
-
-
-def greedy_label_match(pred: LabelSequence, gt: LabelSequence) -> LabelSequence:
-    """Relabel each prediction id independently by its best-overlap class.
-
-    Many-to-one variant of hungarian_label_match, kept for protocol
-    comparisons.
-    """
-    mapping = _overlap(pred, gt).argmax(axis=1).astype(np.int64)
     return LabelSequence(mapping[pred.labels], gt.class_count + 1)
 
 

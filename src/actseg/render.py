@@ -32,6 +32,8 @@ def render_svg(rows: Sequence[tuple[str, LabelSequence]], width: int = 1000) -> 
     """SVG document with one segment-coloured row per labelled sequence."""
     if not rows:
         raise ValueError("nothing to draw")
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
     height = len(rows) * (_ROW_HEIGHT + _ROW_GAP) + _ROW_GAP
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
@@ -58,6 +60,8 @@ def render_text(rows: Sequence[tuple[str, LabelSequence]], width: int = 72) -> s
     """Terminal rendering: one block-character strip per sequence."""
     if not rows:
         raise ValueError("nothing to draw")
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
     name_width = max(len(name) for name, _ in rows)
     lines = []
     for name, labels in rows:

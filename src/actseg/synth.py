@@ -21,15 +21,14 @@ class SynthSpec:
     """Recipe for one synthetic video.
 
     Segment lengths are either explicit or sampled uniformly from
-    length_range for num_segments segments. Means are either explicit
-    per-segment D-vectors or sampled with a minimum pairwise separation.
+    length_range for num_segments segments. Means are sampled with a
+    minimum pairwise separation.
     """
 
     dim: int
     segment_lengths: tuple[int, ...] | None = None
     num_segments: int | None = None
     length_range: tuple[int, int] | None = None
-    means: tuple[tuple[float, ...], ...] | None = None
     mean_separation: float = 1.0
     noise_sigma: float = 0.0
     seed: int = 0
@@ -49,21 +48,10 @@ class SynthSpec:
             if self.num_segments < 1 or lo < 1 or hi < lo:
                 raise ValueError(f"infeasible spec: {self.num_segments} segments "
                                  f"with length_range {self.length_range}")
-        if self.means is not None:
-            means = tuple(tuple(float(v) for v in m) for m in self.means)
-            if any(len(m) != self.dim for m in means):
-                raise ValueError("every explicit mean must have length dim")
-            object.__setattr__(self, "means", means)
         if self.mean_separation <= 0:
             raise ValueError(f"mean_separation must be > 0, got {self.mean_separation}")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-
-    @property
-    def segments(self) -> int:
-        if self.segment_lengths is not None:
-            return len(self.segment_lengths)
-        return int(self.num_segments)
 
 
 def _sample_means(rng: np.random.Generator, count: int, dim: int,
@@ -89,14 +77,7 @@ def generate(spec: SynthSpec) -> tuple[FeatureSequence, LabelSequence, BoundaryS
         lo, hi = spec.length_range
         lengths = rng.integers(lo, hi + 1, size=spec.num_segments)
     count = lengths.size
-    if spec.means is not None:
-        if len(spec.means) != count:
-            raise ValueError(f"got {len(spec.means)} means for {count} segments")
-        means = np.asarray(spec.means, dtype=np.float64)
-    else:
-        means = _sample_means(rng, count, spec.dim, spec.mean_separation)
-
-    total = int(lengths.sum())
+    means = _sample_means(rng, count, spec.dim, spec.mean_separation)
     labels = np.repeat(np.arange(count, dtype=np.int64), lengths)
     values = means[labels]
     if spec.noise_sigma > 0:

@@ -254,6 +254,60 @@ def test_plot_empty_labels_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("width", ["0", "-3"])
+@pytest.mark.parametrize("mode", ["text", "svg"])
+def test_plot_bad_width_exit_2(tmp_path, capsys, mode, width):
+    labels = tmp_path / "l.txt"
+    labels.write_text("0\n0\n1\n")
+    fig = tmp_path / "figs" / "f.svg"
+    argv = ["--text"] if mode == "text" else ["--out", str(fig)]
+    assert main(["plot", str(labels), *argv, "--width", width]) == 2
+    out, err = capsys.readouterr()
+    assert f"width must be >= 1, got {width}" in err
+    assert out == "" and not fig.parent.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--count", "0"), ("--count", "-1"),
+                                         ("--perturb", "-2")])
+def test_synth_bad_count_exit_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(out), flag, value]) == 2
+    assert f"{flag} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _vote_seed(tmp_path):
+    for name in ("a.txt", "b.txt"):
+        (tmp_path / name).write_text("0\n1\n")
+    return ["vote", "a.txt", "b.txt", "--seed", "1", "--out", "o.txt"], \
+        "unrecognized arguments: --seed 1"
+
+
+def _eval_greedy(tmp_path):
+    for sub in ("pred", "gt"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "v.txt").write_text("0\n1\n")
+    return ["eval", "pred", "gt", "--pred-format", "ids", "--label-match", "greedy"], \
+        "invalid choice: 'greedy'"
+
+
+def _data_root_path(tmp_path):
+    (tmp_path / "root").mkdir()
+    (tmp_path / "root" / "p.txt").write_text("0\n1\n")  # under ACTSEG_DATA_ROOT only
+    return ["smooth", "p.txt", "--s-win", "2", "--out", "o.txt"], \
+        "error: [Errno 2] No such file or directory: 'p.txt'"
+
+
+@pytest.mark.parametrize("case", [_vote_seed, _eval_greedy, _data_root_path])
+def test_removed_inputs_exit_2(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ACTSEG_DATA_ROOT", str(tmp_path / "root"))
+    argv, message = case(tmp_path)
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o.txt").exists()
+
+
 def test_repeat_runs_bit_identical(synth_dir, tmp_path):
     for sub in ("one", "two"):
         code = main(["detect", str(synth_dir / "features"), "--num-classes", "4",

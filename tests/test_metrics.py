@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from actseg.core import BoundarySet, LabelSequence, from_boundaries, to_timeline
 from actseg.metrics import (EvalOptions, boundary_f1, edit_score, evaluate,
-                            evaluate_batch, f1_at, greedy_label_match,
-                            hungarian_label_match, mean_result,
+                            evaluate_batch, f1_at, hungarian_label_match,
+                            mean_result,
                             segment_match_counts)
 
 A, B, C = 0, 1, 2
@@ -259,13 +259,6 @@ def test_hungarian_keeps_brute_force_maximum_overlap(pair):
                for cols in itertools.permutations(range(short.shape[1]), short.shape[0]))
     kept = int(np.count_nonzero(hungarian_label_match(pred, gt).labels == gt.labels))
     assert kept == best
-
-
-def test_greedy_label_match_many_to_one():
-    pred = seq([0] * 4 + [1] * 4, classes=2)
-    gt = seq([0] * 8, classes=1)
-    matched = greedy_label_match(pred, gt)
-    assert matched.labels.tolist() == [0] * 8
 
 
 # ---------------------------------------------------------------- evaluate

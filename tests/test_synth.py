@@ -40,13 +40,6 @@ def test_mean_separation_enforced():
             assert np.linalg.norm(means[i] - means[j]) >= 2.0
 
 
-def test_explicit_means():
-    feat, _, _ = generate(SynthSpec(dim=2, segment_lengths=(3, 3),
-                                    means=((0.0, 0.0), (1.0, 1.0))))
-    assert np.array_equal(feat.values[0], [0.0, 0.0])
-    assert np.array_equal(feat.values[3], [1.0, 1.0])
-
-
 def test_cosine_minima_exactly_at_boundaries():
     feat, _, bounds = generate(SynthSpec(dim=8, segment_lengths=(25, 30, 25), seed=3))
     scores = frame_scores(feat, Metric.COSINE)

@@ -15,6 +15,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from . import dataio
@@ -68,6 +69,9 @@ def _each_video(jobs: int, items: list, run, write) -> int:
     A ValueError or OSError from `run` is reported and skips only that item.
     Returns 2 if any item was skipped, else 0.
     """
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
+
     def attempt(item):
         try:
             return run(item), None
@@ -75,7 +79,7 @@ def _each_video(jobs: int, items: list, run, write) -> int:
             return None, exc
 
     failed = False
-    with ThreadPoolExecutor(max_workers=max(1, min(jobs, len(items)))) as pool:
+    with ThreadPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         for result, exc in pool.map(attempt, items):
             if exc is None:
                 write(result)
@@ -286,6 +290,11 @@ def _cmd_synth(args) -> int:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     if args.perturb < 0:
         raise ValueError(f"--perturb must be >= 0, got {args.perturb}")
+    # Validate every argument before the first directory is made.
+    mapping = dataio.ClassMapping(tuple(f"action_{i:02d}" for i in range(args.segments)))
+    spec = SynthSpec(dim=args.dim, num_segments=args.segments,
+                     length_range=(args.min_len, args.max_len),
+                     mean_separation=args.separation, noise_sigma=args.sigma, seed=args.seed)
     out = Path(args.out_dir)
     features_dir = out / "features"
     gt_dir = out / "groundTruth"
@@ -293,7 +302,6 @@ def _cmd_synth(args) -> int:
     splits_dir = out / "splits"
     for d in (features_dir, gt_dir, bounds_dir, splits_dir):
         d.mkdir(parents=True, exist_ok=True)
-    mapping = dataio.ClassMapping(tuple(f"action_{i:02d}" for i in range(args.segments)))
     dataio.save_mapping(out / "mapping.txt", mapping)
 
     ids = []
@@ -302,11 +310,7 @@ def _cmd_synth(args) -> int:
         pred_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
         vid = f"synth_{i:03d}"
-        spec = SynthSpec(dim=args.dim, num_segments=args.segments,
-                         length_range=(args.min_len, args.max_len),
-                         mean_separation=args.separation,
-                         noise_sigma=args.sigma, seed=args.seed + i)
-        feat, labels, bounds = generate(spec)
+        feat, labels, bounds = generate(replace(spec, seed=args.seed + i))
         dataio.save_features(features_dir / f"{vid}.npy", feat)
         dataio.save_labels(gt_dir / f"{vid}.txt", labels, mapping)
         dataio.save_boundaries(bounds_dir / f"{vid}.txt", bounds)

@@ -14,6 +14,13 @@ pair overlaps, and each side's segments (also after `ignore`) are disjoint
 and in time order, so feasible pairs never cross. Walking the predictions in
 order, each taking the first feasible ground-truth segment after the last
 match, therefore gives a maximum matching without an assignment solver.
+
+Hungarian label matching does need one. It uses the rectangular shortest
+augmenting path method of Crouse ("On implementing 2D rectangular
+assignment algorithms", IEEE TAES 2016), ported to NumPy in SciPy's order
+of operations so that it also keeps SciPy's tie rule: at equal path cost
+an unassigned column wins. Ties decide which id maps to which class, so
+the port returns SciPy's assignment, not just an optimum of equal value.
 """
 
 from __future__ import annotations
@@ -169,6 +176,66 @@ def boundary_f1(pred_bounds: BoundarySet, gt_bounds: BoundarySet, tolerance: int
     return _f1_from_counts(*boundary_match_counts(pred_bounds, gt_bounds, tolerance))
 
 
+def _max_assignment(score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of a maximum-total one-to-one assignment of a 2-D score
+    matrix, equal to SciPy's `linear_sum_assignment(score, maximize=True)`.
+
+    Each row adds one shortest augmenting path. As in SciPy, a matrix with
+    fewer columns than rows is solved transposed, columns are scanned in
+    `remaining` order with swap-remove, the reduced cost is summed in the
+    same order, and at equal path cost the last unassigned column scanned
+    wins, else the first column scanned.
+    """
+    cost = -np.asarray(score, dtype=np.float64)
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    nr, nc = cost.shape
+    u, v = np.zeros(nr), np.zeros(nc)
+    col4row = np.full(nr, -1, dtype=np.int64)
+    row4col = np.full(nc, -1, dtype=np.int64)
+    path = np.full(nc, -1, dtype=np.int64)
+    for cur in range(nr):
+        dist = np.full(nc, np.inf)
+        remaining = np.arange(nc - 1, -1, -1)  # reversed: a constant matrix gives the identity
+        seen_rows, seen_cols = [], []
+        i, min_val, sink = cur, 0.0, -1
+        while sink < 0:
+            seen_rows.append(i)
+            reduced = ((min_val + cost[i, remaining]) - u[i]) - v[remaining]
+            shorter = reduced < dist[remaining]
+            path[remaining[shorter]] = i
+            dist[remaining[shorter]] = reduced[shorter]
+            scan = dist[remaining]
+            min_val = scan.min()
+            at = np.flatnonzero(scan == min_val)
+            free = at[row4col[remaining[at]] < 0]
+            k = free[-1] if free.size else at[0]
+            j = int(remaining[k])
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = int(row4col[j])
+            seen_cols.append(j)
+            remaining[k] = remaining[-1]
+            remaining = remaining[:-1]
+        u[cur] += min_val
+        others = np.asarray(seen_rows[1:], dtype=np.int64)
+        u[others] += min_val - dist[col4row[others]]
+        v[seen_cols] -= min_val - dist[seen_cols]
+        j = sink
+        while True:
+            i = int(path[j])
+            row4col[j] = i
+            col4row[i], j = j, int(col4row[i])
+            if i == cur:
+                break
+    if transpose:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(nr), col4row
+
+
 def hungarian_label_match(pred: LabelSequence, gt: LabelSequence) -> LabelSequence:
     """Relabel arbitrary prediction ids by optimal one-to-one assignment to
     ground-truth classes, maximising total frame overlap.
@@ -179,8 +246,7 @@ def hungarian_label_match(pred: LabelSequence, gt: LabelSequence) -> LabelSequen
     _check_lengths(pred, gt)
     overlap = np.zeros((pred.class_count, gt.class_count))  # frames per (pred id, gt class)
     np.add.at(overlap, (pred.labels, gt.labels), 1.0)
-    from scipy.optimize import linear_sum_assignment  # slow import, needed only here
-    rows, cols = linear_sum_assignment(overlap, maximize=True)
+    rows, cols = _max_assignment(overlap)
     mapping = np.full(pred.class_count, gt.class_count, dtype=np.int64)
     mapping[rows] = cols
     return LabelSequence(mapping[pred.labels], gt.class_count + 1)

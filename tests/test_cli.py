@@ -13,7 +13,7 @@ import pytest
 import actseg
 from actseg import cli, dataio
 from actseg.cli import main
-from actseg.core import BoundarySet
+from actseg.core import BoundarySet, LabelSequence
 from actseg.detect import MethodProposals
 
 
@@ -203,18 +203,46 @@ def test_bad_input_exit_2_names_file(tmp_path, capsys, bad_input):
     assert f"error: {path}" in err and detail in err
 
 
-@pytest.mark.parametrize("snippet", [
-    "pass",
-    "d = sys.argv[1]; assert actseg.cli.main(['eval', d + '/predictions', d + '/groundTruth',"
-    " '--mapping', d + '/mapping.txt']) == 0",
-], ids=["import", "eval"])
-def test_cli_import_leaves_scipy_optimize_unloaded(synth_dir, snippet):
-    # scipy.optimize is most of the CLI's start-up; only label matching needs it
+@pytest.fixture()
+def id_predictions(synth_dir):
+    """synth_dir plus ids/: bare-id predictions whose ids rotate the classes."""
+    mapping = dataio.load_mapping(synth_dir / "mapping.txt")
+    (synth_dir / "ids").mkdir()
+    for path in (synth_dir / "groundTruth").iterdir():
+        gt = dataio.load_labels(path, mapping)
+        rotated = LabelSequence((gt.labels + 1) % gt.class_count, gt.class_count)
+        dataio.save_labels(synth_dir / "ids" / path.name, rotated)
+    return synth_dir
+
+
+# Python statements that set `code` to an exit code, for a data dir in sys.argv[1].
+_CLI_RUNS = {
+    "import": "code = 0",
+    "eval": "d = sys.argv[1]; code = actseg.cli.main(['eval', d + '/predictions',"
+            " d + '/groundTruth', '--mapping', d + '/mapping.txt'])",
+    "hungarian": "d = sys.argv[1]; code = actseg.cli.main(['eval', d + '/ids',"
+                 " d + '/groundTruth', '--mapping', d + '/mapping.txt',"
+                 " '--pred-format', 'ids', '--label-match', 'hungarian'])",
+}
+
+
+def _python(code, data_dir):
     src = str(Path(actseg.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = f"import sys, actseg.cli\n{snippet}\nsys.exit('scipy.optimize' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", code, str(synth_dir)], env=env)
-    assert run.returncode == 0
+    return subprocess.run([sys.executable, "-c", code, str(data_dir)], env=env).returncode
+
+
+@pytest.mark.parametrize("run", list(_CLI_RUNS))
+def test_cli_never_loads_scipy(id_predictions, run):
+    code = f"import sys, actseg.cli\n{_CLI_RUNS[run]}\nsys.exit(code or 'scipy' in sys.modules)"
+    assert _python(code, id_predictions) == 0
+
+
+def test_hungarian_eval_runs_without_scipy(id_predictions):
+    # A None entry makes every `import scipy...` raise ImportError.
+    code = (f"import sys\nsys.modules['scipy'] = None\nimport actseg.cli\n"
+            f"{_CLI_RUNS['hungarian']}\nsys.exit(code)")
+    assert _python(code, id_predictions) == 0
 
 
 def test_smooth_single_file_auto(synth_dir, tmp_path):
@@ -273,6 +301,24 @@ def test_synth_bad_count_exit_2(tmp_path, capsys, flag, value):
     out = tmp_path / "data"
     assert main(["synth", "--out-dir", str(out), flag, value]) == 2
     assert f"{flag} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--segments", "0"], ["--min-len", "0"], ["--dim", "0"],
+                                  ["--sigma", "-1"], ["--min-len", "20", "--max-len", "10"]])
+def test_synth_bad_spec_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main(["synth", "--out-dir", str(out), *argv]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_2(synth_dir, tmp_path, capsys, jobs):
+    out = tmp_path / "bounds"
+    assert main(["detect", str(synth_dir / "features"), "--num-classes", "4",
+                 "--jobs", jobs, "--out-bounds", str(out)]) == 2
+    assert f"error: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actseg.core import BoundarySet, LabelSequence, from_boundaries, to_timeline
-from actseg.metrics import (EvalOptions, boundary_f1, edit_score, evaluate,
-                            evaluate_batch, f1_at, hungarian_label_match,
-                            mean_result,
-                            segment_match_counts)
+from actseg.metrics import (EvalOptions, _max_assignment, boundary_f1, edit_score,
+                            evaluate, evaluate_batch, f1_at, hungarian_label_match,
+                            mean_result, segment_match_counts)
 
 A, B, C = 0, 1, 2
 
@@ -259,6 +258,42 @@ def test_hungarian_keeps_brute_force_maximum_overlap(pair):
                for cols in itertools.permutations(range(short.shape[1]), short.shape[0]))
     kept = int(np.count_nonzero(hungarian_label_match(pred, gt).labels == gt.labels))
     assert kept == best
+
+
+def _tie_heavy_scores(rng, max_side, count):
+    """Small-integer score matrices, some with all-zero rows and columns."""
+    for t in range(count):
+        rows, cols = rng.integers(1, max_side + 1, size=2)
+        score = rng.integers(0, (2, 5, 1000)[t % 3], size=(rows, cols)).astype(float)
+        score[rng.random(rows) < 0.2] = 0.0
+        score[:, rng.random(cols) < 0.2] = 0.0
+        yield score
+
+
+def test_max_assignment_reaches_brute_force_optimum():
+    rng = np.random.default_rng(12)
+    shapes = [(r, c) for r in range(1, 7) for c in range(1, 8)]
+    scores = [rng.integers(0, 3, size=shape).astype(float) for shape in shapes]
+    scores += list(_tie_heavy_scores(rng, 6, 200))
+    for score in scores:
+        rows, cols = _max_assignment(score)
+        short = score if score.shape[0] <= score.shape[1] else score.T
+        injections = np.array(list(itertools.permutations(range(short.shape[1]),
+                                                          short.shape[0])))
+        best = short[np.arange(short.shape[0]), injections].sum(axis=1).max()
+        assert len(rows) == len(cols) == min(score.shape)
+        assert rows.tolist() == sorted(set(rows.tolist()))
+        assert len(set(cols.tolist())) == len(cols)
+        assert score[rows, cols].sum() == best
+
+
+def test_max_assignment_matches_linear_sum_assignment():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(7)
+    for score in _tie_heavy_scores(rng, 24, 3000):
+        want = optimize.linear_sum_assignment(score, maximize=True)
+        got = _max_assignment(score)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want], score
 
 
 # ---------------------------------------------------------------- evaluate

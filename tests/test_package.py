@@ -39,3 +39,15 @@ def test_private_names_are_referenced():
     orphans = [f"{module}:{name}" for module, tree in trees.items()
                for name in _defined_private_names(tree) if name not in referenced]
     assert orphans == []
+
+
+def test_no_module_imports_scipy():
+    # NumPy is the only runtime dependency.
+    imported = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.append((path.name, node.module))
+    assert [(m, name) for m, name in imported if name.split(".")[0] == "scipy"] == []

@@ -1,11 +1,12 @@
 """Command line interface: detect, correct, smooth, vote, eval, synth, plot.
 
 File-level front end over the library. Batch subcommands accept
-directories and run each video on a bounded worker pool; results are
-written in input order, so repeated runs are bit-identical. A video that
-fails to load or run is reported and skipped while the rest are written.
-Exit codes: 2 if any video failed or on usage or IO errors, else 1 if
-detect found no boundaries for some video, else 0.
+directories and run each video on up to `--jobs` forked worker processes,
+one video per worker at a time; results come back to the parent and are
+written and logged in input order, so repeated runs are bit-identical. A
+video that fails to load or run is reported and skipped while the rest are
+written. Exit codes: 2 if any video failed, a worker died, or on usage or
+IO errors, else 1 if detect found no boundaries for some video, else 0.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -63,30 +65,65 @@ def _target(base: Path, batch: bool, stem: str, suffix: str) -> Path:
     return base
 
 
-def _each_video(jobs: int, items: list, run, write) -> int:
-    """Run `run` per item on a thread pool and `write` results in input order.
+# The batch a forked worker serves, set by `_adopt` in each worker.
+_batch: tuple = ()
 
-    A ValueError or OSError from `run` is reported and skips only that item.
-    Returns 2 if any item was skipped, else 0.
+
+def _attempt(run, item):
+    try:
+        return run(item), None
+    except (ValueError, OSError) as exc:
+        return None, exc
+
+
+def _adopt(run, items) -> None:
+    global _batch
+    _batch = run, items
+
+
+def _attempt_nth(index: int):
+    run, items = _batch
+    return _attempt(run, items[index])
+
+
+def _write_in_order(outcomes, write) -> int:
+    failed = False
+    for result, exc in outcomes:
+        if exc is None:
+            write(result)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+            failed = True
+    return 2 if failed else 0
+
+
+def _each_video(jobs: int, items: list, run, write) -> int:
+    """Run `run` per item and `write` its result in the parent, in input order.
+
+    When both `jobs` and the item count exceed one, items run on
+    min(jobs, count) forked worker processes. Workers inherit `run` and
+    `items` through the fork, receive only an index, and send back only the
+    `(result, exc)` pair. Otherwise everything runs inline and nothing is
+    forked. A ValueError or OSError from `run` is reported and skips only
+    that item; a worker that dies ends the batch after the results already
+    written. Returns 2 if any item was skipped or a worker died, else 0.
     """
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(items))
+    if workers == 1:
+        return _write_in_order((_attempt(run, item) for item in items), write)
+    # Imported here: at module level they would slow every CLI start.
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    def attempt(item):
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(run, items)) as pool:
         try:
-            return run(item), None
-        except (ValueError, OSError) as exc:
-            return None, exc
-
-    failed = False
-    with ThreadPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        for result, exc in pool.map(attempt, items):
-            if exc is None:
-                write(result)
-            else:
-                print(f"error: {exc}", file=sys.stderr)
-                failed = True
-    return 2 if failed else 0
+            return _write_in_order(pool.map(_attempt_nth, range(len(items))), write)
+        except BrokenProcessPool as exc:
+            print(f"error: a worker process died: {exc}", file=sys.stderr)
+            return 2
 
 
 def _pair_inputs(features: Path, labels: Path) -> tuple[list[tuple[str, Path, Path]], bool]:
@@ -113,10 +150,6 @@ def _cmd_detect(args) -> int:
     def run(item):
         vid, path = item
         feat = dataio.load_features(path, args.orientation)
-        cells = (feat.frames - 1) * feat.dim ** 2
-        if args.dim_reduce is None and cells > FULL_DTW_WARN_CELLS:
-            log.warning("%s: full-D DTW on T=%d frames x D=%d dims is %.1e cost cells; "
-                        "consider --dim-reduce 64", vid, feat.frames, feat.dim, cells)
         try:
             bounds, props = detect(feat, cfg, seed=args.seed)
         except ValueError as exc:
@@ -136,6 +169,18 @@ def _cmd_detect(args) -> int:
         if not bounds:
             degenerate.append(vid)
 
+    if args.dim_reduce is None:
+        # Warn from the file headers before any video starts; a file that
+        # cannot be read is reported when its video runs.
+        for vid, path in inputs:
+            try:
+                frames, dim = dataio.feature_shape(path, args.orientation)
+            except (ValueError, OSError):
+                continue
+            cells = (frames - 1) * dim ** 2
+            if cells > FULL_DTW_WARN_CELLS:
+                log.warning("%s: full-D DTW on T=%d frames x D=%d dims is %.1e cost cells; "
+                            "consider --dim-reduce 64", vid, frames, dim, cells)
     code = _each_video(args.jobs, inputs, run, write)
     if degenerate:
         log.warning("no boundaries detected for: %s", ", ".join(degenerate))
@@ -296,6 +341,25 @@ def _cmd_synth(args) -> int:
                      length_range=(args.min_len, args.max_len),
                      mean_separation=args.separation, noise_sigma=args.sigma, seed=args.seed)
     out = Path(args.out_dir)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    # Build in a temporary sibling and move it into place only once every
+    # video is written, so a failure leaves nothing behind.
+    tmp = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
+    try:
+        _write_synth(tmp, args, spec, mapping)
+        for src in sorted(tmp.rglob("*")):  # each directory before its files
+            dst = out / src.relative_to(tmp)
+            if src.is_dir():
+                dst.mkdir(parents=True, exist_ok=True)
+            else:
+                os.replace(src, dst)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    log.info("wrote %d synthetic videos under %s", args.count, out)
+    return 0
+
+
+def _write_synth(out: Path, args, spec: SynthSpec, mapping: dataio.ClassMapping) -> None:
     features_dir = out / "features"
     gt_dir = out / "groundTruth"
     bounds_dir = out / "bounds"
@@ -319,8 +383,6 @@ def _cmd_synth(args) -> int:
             dataio.save_labels(pred_dir / f"{vid}.txt", noisy, mapping)
         ids.append(vid)
     (splits_dir / "all.txt").write_text("".join(f"{v}\n" for v in ids))
-    log.info("wrote %d synthetic videos under %s", len(ids), out)
-    return 0
 
 
 # ---------------------------------------------------------------- plot

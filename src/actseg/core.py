@@ -40,6 +40,10 @@ class FeatureSequence:
             raise ValueError(f"non-finite feature value at frame {t}, dim {d}")
         object.__setattr__(self, "values", _freeze(arr))
 
+    def __reduce__(self):
+        # Rebuild through the constructor, so an unpickled copy is frozen too.
+        return type(self), (self.values,)
+
     @property
     def frames(self) -> int:
         return self.values.shape[0]
@@ -65,6 +69,9 @@ class LabelSequence:
         if arr.size and (arr.min() < 0 or arr.max() >= self.class_count):
             raise ValueError(f"label outside [0, {self.class_count}) in sequence")
         object.__setattr__(self, "labels", _freeze(arr))
+
+    def __reduce__(self):
+        return type(self), (self.labels, self.class_count)
 
     def __len__(self) -> int:
         return self.labels.size

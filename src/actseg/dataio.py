@@ -63,10 +63,8 @@ def read_text(path) -> str:
         raise DataError(f"{path}: not UTF-8 text at byte {exc.start}") from None
 
 
-def read_array(path) -> np.ndarray:
-    """Read an NPY v1.0 array, failing closed on anything unsupported."""
-    path = Path(path)
-    raw = path.read_bytes()
+def _read_header(path: Path, raw: bytes) -> tuple[np.dtype, tuple[int, ...], int]:
+    """Parse the NPY v1.0 header at the start of `raw`: dtype, shape, payload offset."""
     if len(raw) < 8 or raw[:6] != MAGIC:
         raise FormatError(f"{path}: not an NPY file (bad magic at byte 0)")
     major, minor = raw[6], raw[7]
@@ -95,7 +93,14 @@ def read_array(path) -> np.ndarray:
     if fortran:
         raise FormatError(f"{path}: Fortran-order arrays are not supported; "
                           "re-save the array in C order")
-    dtype = np.dtype(descr)
+    return np.dtype(descr), shape, header_end
+
+
+def read_array(path) -> np.ndarray:
+    """Read an NPY v1.0 array, failing closed on anything unsupported."""
+    path = Path(path)
+    raw = path.read_bytes()
+    dtype, shape, header_end = _read_header(path, raw)
     count = math.prod(shape)  # exact: an int64 product could wrap to a small count
     expected, available = count * dtype.itemsize, len(raw) - header_end
     if available < expected:
@@ -118,6 +123,27 @@ def write_array(path, array: np.ndarray, descr: str = "<f8") -> None:
     _atomic_write(Path(path), blob + arr.tobytes())
 
 
+def _transposed(path: Path, shape: tuple[int, ...], orientation: str) -> bool:
+    """Whether a stored array of `shape` is dims-by-frames under `orientation`."""
+    if len(shape) != 2:
+        raise FormatError(f"{path}: features must be 2-D, got shape {shape}")
+    if orientation not in (D_BY_T, T_BY_D, AUTO_ORIENT):
+        raise ValueError(f"orientation must be one of {D_BY_T!r}, {T_BY_D!r}, "
+                         f"{AUTO_ORIENT!r}, got {orientation!r}")
+    return orientation == D_BY_T or (orientation == AUTO_ORIENT
+                                     and shape[0] in KNOWN_FEATURE_WIDTHS
+                                     and shape[1] not in KNOWN_FEATURE_WIDTHS)
+
+
+def feature_shape(path, orientation: str = AUTO_ORIENT) -> tuple[int, int]:
+    """The (frames, dims) that `load_features` would return, read from the header only."""
+    path = Path(path)
+    with open(path, "rb") as handle:
+        raw = handle.read(10 + 0xFFFF)  # the longest v1.0 header
+    shape = _read_header(path, raw)[1]
+    return shape[::-1] if _transposed(path, shape, orientation) else shape
+
+
 def load_features(path, orientation: str = AUTO_ORIENT) -> FeatureSequence:
     """Load a feature matrix as frames-by-dims.
 
@@ -127,14 +153,7 @@ def load_features(path, orientation: str = AUTO_ORIENT) -> FeatureSequence:
     """
     path = Path(path)
     arr = read_array(path)
-    if arr.ndim != 2:
-        raise FormatError(f"{path}: features must be 2-D, got shape {arr.shape}")
-    if orientation not in (D_BY_T, T_BY_D, AUTO_ORIENT):
-        raise ValueError(f"orientation must be one of {D_BY_T!r}, {T_BY_D!r}, "
-                         f"{AUTO_ORIENT!r}, got {orientation!r}")
-    if orientation == D_BY_T or (orientation == AUTO_ORIENT
-                                 and arr.shape[0] in KNOWN_FEATURE_WIDTHS
-                                 and arr.shape[1] not in KNOWN_FEATURE_WIDTHS):
+    if _transposed(path, arr.shape, orientation):
         arr = arr.T
     try:
         return FeatureSequence(arr)

@@ -223,6 +223,10 @@ _CLI_RUNS = {
     "hungarian": "d = sys.argv[1]; code = actseg.cli.main(['eval', d + '/ids',"
                  " d + '/groundTruth', '--mapping', d + '/mapping.txt',"
                  " '--pred-format', 'ids', '--label-match', 'hungarian'])",
+    "help": "code = actseg.cli.main(['--help'])",
+    "jobs1": "d = sys.argv[1]; code = actseg.cli.main(['smooth', d + '/predictions',"
+             " '--s-win', '4', '--mapping', d + '/mapping.txt', '--out', d + '/s',"
+             " '--jobs', '1'])",
 }
 
 
@@ -235,6 +239,14 @@ def _python(code, data_dir):
 @pytest.mark.parametrize("run", list(_CLI_RUNS))
 def test_cli_never_loads_scipy(id_predictions, run):
     code = f"import sys, actseg.cli\n{_CLI_RUNS[run]}\nsys.exit(code or 'scipy' in sys.modules)"
+    assert _python(code, id_predictions) == 0
+
+
+@pytest.mark.parametrize("run", ["import", "help", "jobs1"])
+def test_cli_loads_process_pool_only_to_fork(id_predictions, run):
+    # Keeps start-up flat, and shows that one worker runs inline.
+    code = (f"import sys, actseg.cli\n{_CLI_RUNS[run]}\nsys.exit(code or any(m in sys.modules"
+            f" for m in ('multiprocessing', 'concurrent.futures.process')))")
     assert _python(code, id_predictions) == 0
 
 
@@ -313,6 +325,29 @@ def test_synth_bad_spec_writes_nothing(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--segments", "48", "--dim", "1"],  # no room for 48 separated means
+    # synth_000 and synth_001 are written before synth_002 cannot be perturbed
+    ["--count", "3", "--segments", "3", "--dim", "4", "--min-len", "10",
+     "--max-len", "30", "--perturb", "6", "--seed", "0"],
+], ids=["means", "perturb"])
+def test_synth_failure_leaves_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main(["synth", "--out-dir", str(out), *argv]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_into_existing_dir(synth_dir, tmp_path):
+    want = _tree(synth_dir)
+    (synth_dir / "notes.txt").write_text("kept\n")
+    assert main(["synth", "--out-dir", str(synth_dir), "--count", "3", "--segments", "4",
+                 "--dim", "8", "--min-len", "40", "--max-len", "70",
+                 "--sigma", "0.0", "--perturb", "5", "--seed", "1"]) == 0
+    assert _tree(synth_dir) == {**want, Path("notes.txt"): b"kept\n"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_exit_2(synth_dir, tmp_path, capsys, jobs):
     out = tmp_path / "bounds"
@@ -377,24 +412,51 @@ def test_eval_ignore_unknown_name_exit_2(synth_dir, capsys):
         in capsys.readouterr().err
 
 
-def test_jobs_outputs_identical(tmp_path):
+def test_jobs_outputs_identical(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["synth", "--out-dir", str(data), "--count", "4", "--segments", "5",
                  "--dim", "48", "--min-len", "60", "--max-len", "120",
                  "--sigma", "0.3", "--perturb", "5", "--seed", "7"]) == 0
+    mapping = ["--mapping", str(data / "mapping.txt")]
     outputs = {}
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3"):
         out = tmp_path / f"jobs{jobs}"
         assert main(["detect", str(data / "features"), "--num-classes", "5",
                      "--b-intrv", "20", "--jobs", jobs, "--out-bounds", str(out / "bounds"),
                      "--out-labels", str(out / "labels")]) == 0
-        assert main(["correct", str(data / "features"), str(data / "predictions"),
-                     "--mapping", str(data / "mapping.txt"), "--jobs", jobs,
-                     "--out", str(out / "corrected"), "--report", str(out / "report")]) == 0
-        outputs[jobs] = {p.relative_to(out): p.read_bytes()
-                         for p in sorted(out.rglob("*")) if p.is_file()}
-    assert len(outputs["1"]) == 16
-    assert outputs["1"] == outputs["2"]
+        assert main(["correct", str(data / "features"), str(data / "predictions"), *mapping,
+                     "--jobs", jobs, "--out", str(out / "corrected"),
+                     "--report", str(out / "report")]) == 0
+        assert main(["smooth", str(out / "corrected"), "--s-win", "auto", *mapping,
+                     "--jobs", jobs, "--out", str(out / "smoothed")]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(out / "smoothed"), str(data / "groundTruth"), *mapping,
+                     "--jobs", jobs]) == 0
+        outputs[jobs] = _tree(out), capsys.readouterr().out
+    assert len(outputs["1"][0]) == 20
+    assert "f1_50=" in outputs["1"][1]
+    assert outputs["1"] == outputs["2"] == outputs["3"]
+
+
+def test_dead_worker_exit_2(synth_dir, tmp_path, capfd, monkeypatch):
+    out = tmp_path / "out"
+    load = dataio.load_labels
+
+    def dying_load(path, mapping=None):
+        if Path(path).stem == "synth_002":
+            # Die once the parent has written the other two videos.
+            deadline = time.monotonic() + 30
+            while len(list(out.glob("*.txt"))) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os._exit(3)
+        return load(path, mapping)
+
+    monkeypatch.setattr(dataio, "load_labels", dying_load)
+    assert main(["smooth", str(synth_dir / "predictions"), "--s-win", "4", "--jobs", "2",
+                 "--mapping", str(synth_dir / "mapping.txt"), "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert "error: a worker process died" in err and "Traceback" not in err
+    assert sorted(p.name for p in out.iterdir()) == ["synth_000.txt", "synth_001.txt"]
 
 
 def _tree(root):

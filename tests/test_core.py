@@ -1,3 +1,6 @@
+import pickle
+from multiprocessing.reduction import ForkingPickler
+
 import numpy as np
 import pytest
 
@@ -112,6 +115,17 @@ def test_values_frozen_after_construction():
     ls = seq([A, B])
     with pytest.raises(ValueError):
         ls.labels[0] = 1
+
+
+def test_values_stay_frozen_across_pickling():
+    # ForkingPickler carries results back from forked CLI workers.
+    ls = seq([A, B, B, C], classes=4)
+    feat = FeatureSequence(np.arange(6.0).reshape(3, 2))
+    for value, array in ((ls, "labels"), (feat, "values")):
+        again = pickle.loads(ForkingPickler.dumps(value))
+        assert not getattr(again, array).flags.writeable
+        assert np.array_equal(getattr(again, array), getattr(value, array))
+    assert pickle.loads(ForkingPickler.dumps(ls)) == ls
 
 
 def test_timeline_rejects_equal_neighbours():

@@ -210,7 +210,7 @@ def _cmd_correct(args) -> int:
         if args.report:
             lines = "".join(f"{r.original} {r.corrected} {r.iterations}\n"
                             for r in report.records)
-            _target(args.report, batch, vid, ".txt").write_text(lines)
+            dataio.save_text(_target(args.report, batch, vid, ".txt"), lines)
 
     return _each_video(args.jobs, paired, run, write)
 
@@ -382,7 +382,7 @@ def _write_synth(out: Path, args, spec: SynthSpec, mapping: dataio.ClassMapping)
             noisy = perturb_boundaries(labels, args.perturb, seed=args.seed + 1000 + i)
             dataio.save_labels(pred_dir / f"{vid}.txt", noisy, mapping)
         ids.append(vid)
-    (splits_dir / "all.txt").write_text("".join(f"{v}\n" for v in ids))
+    dataio.save_text(splits_dir / "all.txt", "".join(f"{v}\n" for v in ids))
 
 
 # ---------------------------------------------------------------- plot
@@ -397,7 +397,7 @@ def _cmd_plot(args) -> int:
         raise ValueError("plot needs --out FILE.svg (or --text)")
     svg = render_svg(rows, args.width if args.width is not None else 1000)
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(svg)
+    dataio.save_text(args.out, svg)
     return 0
 
 

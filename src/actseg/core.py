@@ -15,6 +15,9 @@ import numpy as np
 
 AUTO = "auto"
 
+# Frames and dims of one tile of FeatureSequence's copy.
+_COPY_TILE = 256
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -32,12 +35,24 @@ class FeatureSequence:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, order="C")
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"features must be a T x D matrix with T, D >= 1, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            t, d = map(int, np.argwhere(~np.isfinite(arr))[0])
-            raise ValueError(f"non-finite feature value at frame {t}, dim {d}")
+        src = np.asarray(self.values)
+        if src.ndim != 2 or src.shape[0] < 1 or src.shape[1] < 1:
+            raise ValueError(f"features must be a T x D matrix with T, D >= 1, got shape {src.shape}")
+        arr = np.empty(src.shape, dtype=np.float64)
+        # Copy in strips of frames, each in square tiles, and check each
+        # strip as soon as it is written, with no T x D mask. A tile of a
+        # transposed D x T load (the public dumps' layout) reads from few
+        # enough memory pages that the strided copy is not bound by TLB
+        # misses, as one whole-array copy is.
+        n = _COPY_TILE
+        for t in range(0, src.shape[0], n):
+            strip = arr[t:t + n]
+            for d in range(0, src.shape[1], n):
+                strip[:, d:d + n] = src[t:t + n, d:d + n]
+            finite = np.isfinite(strip)
+            if not finite.all():
+                f, d = map(int, np.argwhere(~finite)[0])
+                raise ValueError(f"non-finite feature value at frame {t + f}, dim {d}")
         object.__setattr__(self, "values", _freeze(arr))
 
     def __reduce__(self):

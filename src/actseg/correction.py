@@ -144,16 +144,27 @@ def _refine_window(values: np.ndarray, start: int, end: int, b_seg: int, seed: i
     moves its ends by whole sub-segments. Stops when the window cannot be
     narrowed further (width <= 2 * b_seg with no progress) or after
     _MAX_ITERATIONS. Nominations index the first sub-segment of the new
-    action, matching transition_index.
+    action, matching transition_index. Returns the final window, the
+    per-step proposals, and the last step's k=2 labels when that step left
+    the window where it was (else None).
+
+    Every step's window lies on the first window's sub-segment grid, and
+    block_similarity scores each consecutive pair on its own, bit for bit,
+    so the pairs are scored once here and each step reads a slice.
     """
+    grid = values[start:end].reshape(-1, b_seg, values.shape[1])
+    cosine = block_similarity(grid, Metric.COSINE)
+    dtw = block_similarity(grid, Metric.DTW)
+    origin = start
     history: list[IterationProposals] = []
     while end - start > b_seg and len(history) < _MAX_ITERATIONS:
         m = (end - start) // b_seg
-        segs = values[start:end].reshape(m, b_seg, values.shape[1])
-        p_cos = int(np.argmin(block_similarity(segs, Metric.COSINE))) + 1
-        p_dtw = int(np.argmax(block_similarity(segs, Metric.DTW))) + 1
+        first = (start - origin) // b_seg
+        p_cos = int(np.argmin(cosine[first:first + m - 1])) + 1
+        p_dtw = int(np.argmax(dtw[first:first + m - 1])) + 1
         # Each sub-segment's majority cluster; the k=2 ids are 0/1 and a tie goes to 0.
-        ones = kmeans(values[start:end], 2, seed).reshape(m, b_seg).sum(axis=1)
+        clusters = kmeans(values[start:end], 2, seed)
+        ones = clusters.reshape(m, b_seg).sum(axis=1)
         p_clu = transition_index(2 * ones > b_seg)
         history.append(IterationProposals(p_cos, p_dtw, p_clu))
 
@@ -165,9 +176,9 @@ def _refine_window(values: np.ndarray, start: int, end: int, b_seg: int, seed: i
             start, end = new_start, new_end
         elif end - start > 2 * b_seg:
             start, end = start + b_seg, end - b_seg
-        else:
-            break  # narrow enough for the final frame-level clustering
-    return start, end, tuple(history)
+        else:  # narrow enough for the final frame-level clustering
+            return start, end, tuple(history), clusters
+    return start, end, tuple(history), None
 
 
 def correct_all(feat: FeatureSequence, labels: LabelSequence,
@@ -195,10 +206,12 @@ def correct_all(feat: FeatureSequence, labels: LabelSequence,
             records.append(BoundaryRecord(boundary, boundary, ()))
             continue
         ws, we = window.start, window.end
-        start, end, history = _refine_window(feat.values, ws, we, b_seg, seed)
+        start, end, history, clusters = _refine_window(feat.values, ws, we, b_seg, seed)
         corrected = boundary
         if end - start >= 2:
-            idx = transition_index(kmeans(feat.values[start:end], 2, seed))
+            if clusters is None:
+                clusters = kmeans(feat.values[start:end], 2, seed)
+            idx = transition_index(clusters)
             if idx is not None:
                 corrected = start + idx
         records.append(BoundaryRecord(boundary, corrected, history, window))

@@ -15,7 +15,6 @@ import ast
 import math
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,8 +41,16 @@ class DataError(ValueError):
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
+    """Write `data` to a new hidden sibling file, then rename it over `path`.
+
+    The sibling is made with mode 0o666 for the umask to narrow, as for any
+    new file (tempfile.mkstemp gives 0o600 whatever the umask, and reading
+    the umask is a set-and-restore that races with other threads). O_EXCL
+    keeps the random name from clobbering anything.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
@@ -52,6 +59,11 @@ def _atomic_write(path: Path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_text(path, text: str) -> None:
+    """Write `text` as UTF-8, atomically."""
+    _atomic_write(Path(path), text.encode())
 
 
 def read_text(path) -> str:
@@ -63,8 +75,10 @@ def read_text(path) -> str:
         raise DataError(f"{path}: not UTF-8 text at byte {exc.start}") from None
 
 
-def _read_header(path: Path, raw: bytes) -> tuple[np.dtype, tuple[int, ...], int]:
-    """Parse the NPY v1.0 header at the start of `raw`: dtype, shape, payload offset."""
+def _read_header(path: Path, handle) -> tuple[np.dtype, tuple[int, ...], int]:
+    """Parse the NPY v1.0 header at the start of `handle`: dtype, shape, payload
+    offset. Leaves the handle at the payload."""
+    raw = handle.read(10)
     if len(raw) < 8 or raw[:6] != MAGIC:
         raise FormatError(f"{path}: not an NPY file (bad magic at byte 0)")
     major, minor = raw[6], raw[7]
@@ -73,12 +87,12 @@ def _read_header(path: Path, raw: bytes) -> tuple[np.dtype, tuple[int, ...], int
     if len(raw) < 10:
         raise FormatError(f"{path}: truncated header length at byte 8")
     (header_len,) = struct.unpack("<H", raw[8:10])
-    header_end = 10 + header_len
-    if len(raw) < header_end:
+    raw = handle.read(header_len)
+    if len(raw) < header_len:
         raise FormatError(f"{path}: truncated header at byte 10 "
                           f"(expected {header_len} bytes)")
     try:
-        header = ast.literal_eval(raw[10:header_end].decode("latin1"))
+        header = ast.literal_eval(raw.decode("latin1"))
         descr = header["descr"]
         fortran = header["fortran_order"]
         shape = tuple(int(x) for x in header["shape"])
@@ -93,20 +107,28 @@ def _read_header(path: Path, raw: bytes) -> tuple[np.dtype, tuple[int, ...], int
     if fortran:
         raise FormatError(f"{path}: Fortran-order arrays are not supported; "
                           "re-save the array in C order")
-    return np.dtype(descr), shape, header_end
+    return np.dtype(descr), shape, 10 + header_len
 
 
 def read_array(path) -> np.ndarray:
-    """Read an NPY v1.0 array, failing closed on anything unsupported."""
+    """Read an NPY v1.0 array, failing closed on anything unsupported.
+
+    The payload is read straight into the returned array: one copy, no
+    intermediate bytes object.
+    """
     path = Path(path)
-    raw = path.read_bytes()
-    dtype, shape, header_end = _read_header(path, raw)
-    count = math.prod(shape)  # exact: an int64 product could wrap to a small count
-    expected, available = count * dtype.itemsize, len(raw) - header_end
+    with open(path, "rb") as handle:
+        dtype, shape, header_end = _read_header(path, handle)
+        count = math.prod(shape)  # exact: an int64 product could wrap to a small count
+        expected = count * dtype.itemsize
+        available = os.fstat(handle.fileno()).st_size - header_end
+        if available >= expected:  # else a corrupt shape could ask for any size
+            arr = np.empty(shape, dtype)
+            available = handle.readinto(arr.reshape(-1).view(np.uint8))
     if available < expected:
         raise FormatError(f"{path}: truncated data at byte {header_end} "
                           f"(expected {expected} bytes, got {available})")
-    return np.frombuffer(raw, dtype, count, offset=header_end).reshape(shape)
+    return arr
 
 
 def write_array(path, array: np.ndarray, descr: str = "<f8") -> None:
@@ -139,8 +161,7 @@ def feature_shape(path, orientation: str = AUTO_ORIENT) -> tuple[int, int]:
     """The (frames, dims) that `load_features` would return, read from the header only."""
     path = Path(path)
     with open(path, "rb") as handle:
-        raw = handle.read(10 + 0xFFFF)  # the longest v1.0 header
-    shape = _read_header(path, raw)[1]
+        shape = _read_header(path, handle)[1]
     return shape[::-1] if _transposed(path, shape, orientation) else shape
 
 
@@ -232,7 +253,7 @@ def load_mapping(path) -> ClassMapping:
 
 def save_mapping(path, mapping: ClassMapping) -> None:
     text = "".join(f"{i} {name}\n" for i, name in enumerate(mapping.names))
-    _atomic_write(Path(path), text.encode())
+    save_text(path, text)
 
 
 def load_labels(path, mapping: ClassMapping | None = None) -> LabelSequence:
@@ -274,7 +295,7 @@ def save_labels(path, labels: LabelSequence, mapping: ClassMapping | None = None
         lines = (mapping.name_of(int(v)) for v in labels.labels)
     else:
         lines = (str(int(v)) for v in labels.labels)
-    _atomic_write(Path(path), ("\n".join(lines) + "\n").encode())
+    save_text(path, "\n".join(lines) + "\n")
 
 
 def load_boundaries(path) -> BoundarySet:
@@ -295,13 +316,13 @@ def load_boundaries(path) -> BoundarySet:
 
 
 def save_boundaries(path, bounds: BoundarySet) -> None:
-    _atomic_write(Path(path), "".join(f"{b}\n" for b in bounds).encode())
+    save_text(path, "".join(f"{b}\n" for b in bounds))
 
 
 def save_report(path, result: EvalResult) -> None:
     """Machine-readable key=value report with the six metric fields."""
     lines = "".join(f"{key}={value!r}\n" for key, value in result.field_values().items())
-    _atomic_write(Path(path), lines.encode())
+    save_text(path, lines)
 
 
 def load_report(path) -> dict[str, float]:

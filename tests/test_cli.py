@@ -279,6 +279,36 @@ def test_plot_svg_two_rows_deterministic(synth_dir, tmp_path):
     assert fig_a.read_text().count("<text") == 2
 
 
+def test_report_and_plot_written_atomically(synth_dir, tmp_path, monkeypatch):
+    written = []
+    atomic_write = dataio._atomic_write
+
+    def recording(path, data):
+        written.append(Path(path))
+        atomic_write(path, data)
+
+    monkeypatch.setattr(dataio, "_atomic_write", recording)
+    report, fig = tmp_path / "report.txt", tmp_path / "fig.svg"
+    gt = synth_dir / "groundTruth" / "synth_000.txt"
+    assert main(["correct", str(synth_dir / "features" / "synth_000.npy"),
+                 str(synth_dir / "predictions" / "synth_000.txt"),
+                 "--mapping", str(synth_dir / "mapping.txt"),
+                 "--out", str(tmp_path / "out.txt"), "--report", str(report)]) == 0
+    assert main(["plot", str(gt), "--mapping", str(synth_dir / "mapping.txt"),
+                 "--out", str(fig)]) == 0
+    assert report in written and fig in written
+    mapping = dataio.load_mapping(synth_dir / "mapping.txt")
+    _, records = actseg.correct_all(
+        dataio.load_features(synth_dir / "features" / "synth_000.npy"),
+        dataio.load_labels(synth_dir / "predictions" / "synth_000.txt", mapping))
+    assert report.read_bytes() == b"".join(
+        b"%d %d %d\n" % (r.original, r.corrected, r.iterations) for r in records.records)
+    assert fig.read_bytes() == \
+        cli.render_svg([(gt.stem, dataio.load_labels(gt, mapping))], 1000).encode()
+    assert (synth_dir / "splits" / "all.txt").read_bytes() == \
+        b"synth_000\nsynth_001\nsynth_002\n"
+
+
 def test_plot_text_mode(synth_dir, capsys):
     gt = synth_dir / "groundTruth" / "synth_000.txt"
     code = main(["plot", str(gt), "--mapping", str(synth_dir / "mapping.txt"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,10 @@ from hypothesis import strategies as st
 
 from actseg.core import (AUTO, BoundarySet, CorrectionConfig, FeatureSequence,
                          LabelSequence, boundaries_of, run_classes)
-from actseg.correction import auto_window_params, correct_all, resolve_window_params
+from actseg.correction import (_MAX_ITERATIONS, BoundaryRecord, IterationProposals,
+                               _clamped_window, auto_window_params, correct_all,
+                               resolve_window_params)
+from actseg.similarity import Metric, block_similarity, kmeans, transition_index
 from actseg.synth import SynthSpec, generate, perturb_boundaries
 
 
@@ -149,3 +154,133 @@ def test_auto_config_runs():
     noisy = perturb_boundaries(labels, 3, seed=2)
     out, _ = correct_all(feat, noisy, CorrectionConfig(AUTO, AUTO))
     assert run_classes(out) == run_classes(noisy)
+
+
+# ------------------------------------------- oracle: the per-step scoring loop
+
+def _reference_refine(values, start, end, b_seg, seed):
+    """Oracle for correct_all's refine loop, with no shared work: every
+    step scores its own sub-segments, and the final window is clustered
+    afresh afterwards."""
+    history = []
+    while end - start > b_seg and len(history) < _MAX_ITERATIONS:
+        m = (end - start) // b_seg
+        segs = values[start:end].reshape(m, b_seg, values.shape[1])
+        p_cos = int(np.argmin(block_similarity(segs, Metric.COSINE))) + 1
+        p_dtw = int(np.argmax(block_similarity(segs, Metric.DTW))) + 1
+        ones = kmeans(values[start:end], 2, seed).reshape(m, b_seg).sum(axis=1)
+        p_clu = transition_index(2 * ones > b_seg)
+        history.append(IterationProposals(p_cos, p_dtw, p_clu))
+        proposals = [p_cos, p_dtw] + ([p_clu] if p_clu is not None else [])
+        lo, hi = min(proposals), max(proposals)
+        new_start = start + max(lo - 1, 0) * b_seg
+        new_end = start + (hi + 1) * b_seg
+        if new_end - new_start < end - start:
+            start, end = new_start, new_end
+        elif end - start > 2 * b_seg:
+            start, end = start + b_seg, end - b_seg
+        else:
+            break
+    return start, end, tuple(history)
+
+
+def _reference_correct_all(feat, labels, cfg, seed):
+    bounds = boundaries_of(labels)
+    b_win, b_seg = resolve_window_params(cfg, bounds)
+    original = labels.labels
+    out = original.copy()
+    records = []
+    for pos, boundary in enumerate(bounds.indices):
+        window = _clamped_window(bounds.indices, pos, feat.frames, b_win, b_seg)
+        if window is None:
+            records.append(BoundaryRecord(boundary, boundary, ()))
+            continue
+        ws, we = window.start, window.end
+        start, end, history = _reference_refine(feat.values, ws, we, b_seg, seed)
+        corrected = boundary
+        if end - start >= 2:
+            idx = transition_index(kmeans(feat.values[start:end], 2, seed))
+            if idx is not None:
+                corrected = start + idx
+        records.append(BoundaryRecord(boundary, corrected, history, window))
+        out[ws:min(corrected, we)] = original[boundary - 1]
+        out[max(corrected, ws):we] = original[boundary]
+    return LabelSequence(out, labels.class_count), tuple(records)
+
+
+def _alternating_ramp(frames):
+    """Frames of sign (-1)^i and growing size: in every window the first
+    pair scores lowest on cosine and the last highest on DTW, so b_seg 1
+    windows narrow by one sub-segment a side per step and hit the step cap."""
+    i = np.arange(frames)
+    return ((-1.0) ** i * (1 + 0.01 * i))[:, None]
+
+
+@st.composite
+def oracle_cases(draw):
+    """Step features with noise, or an alternating ramp, some frames zeroed,
+    under labels with shifted boundaries, and a window config with b_seg 1-8."""
+    b_seg = draw(st.integers(1, 8))
+    subsegments = draw(st.integers(2, 64 // b_seg).filter(lambda k: k * b_seg % 2 == 0))
+    b_win = subsegments * b_seg
+    lengths = draw(st.lists(st.integers(max(4, b_win // 3), 2 * b_win + 8),
+                            min_size=2, max_size=5))
+    classes = np.arange(len(lengths)) % 3
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        values = _alternating_ramp(sum(lengths))
+    else:
+        rng = np.random.default_rng(seed)
+        dim = draw(st.integers(1, 12))
+        means = rng.normal(size=(len(lengths), dim)) * draw(st.sampled_from([0.0, 0.5, 3.0]))
+        values = np.repeat(means, lengths, axis=0) + rng.normal(size=(sum(lengths), dim))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, values.shape[0] - 1))
+        values[start:start + draw(st.integers(1, 2 * b_seg))] = 0.0
+    shifted = np.repeat(classes, lengths)
+    for pos, edge in enumerate(np.cumsum(lengths)[:-1]):
+        shift = draw(st.integers(-3, 3))
+        if shift < 0:
+            shifted[edge + shift:edge] = classes[pos + 1]
+        else:
+            shifted[edge:edge + shift] = classes[pos]
+    return FeatureSequence(values), LabelSequence(shifted, 3), CorrectionConfig(b_win, b_seg), seed
+
+
+def _assert_matches_reference(feat, labels, cfg, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        out, report = correct_all(feat, labels, cfg, seed=seed)
+        want_out, want_records = _reference_correct_all(feat, labels, cfg, seed)
+    assert out == want_out
+    assert report.records == want_records
+    return report
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_cases())
+def test_correct_all_matches_per_step_reference(case):
+    _assert_matches_reference(*case)
+
+
+def test_matches_reference_at_step_cap_and_on_zero_norm_window():
+    values = np.vstack([_alternating_ramp(400),
+                        np.random.default_rng(7).normal(size=(200, 1))])
+    values[430:434] = 0.0  # zero-norm frames inside the second boundary's window
+    labels = LabelSequence(np.repeat([0, 1, 0], [200, 240, 160]), 2)
+    with pytest.warns(RuntimeWarning, match="zero-norm"):
+        correct_all(FeatureSequence(values), labels, CorrectionConfig(64, 1))
+    report = _assert_matches_reference(FeatureSequence(values), labels,
+                                       CorrectionConfig(64, 1), seed=3)
+    assert report.records[0].iterations == _MAX_ITERATIONS
+
+
+def test_zero_norm_warning_fires_once_per_window():
+    feat, labels, _ = step_video([20, 20])
+    values = feat.values.copy()
+    values[16:20] = 0.0  # one whole sub-segment of the 16/4 window
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, report = correct_all(FeatureSequence(values), labels, CorrectionConfig(16, 4))
+    assert report.records[0].iterations > 1
+    assert [str(w.message) for w in caught] == ["zero-norm block in cosine similarity, scored 0.0"]

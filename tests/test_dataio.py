@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -83,10 +85,27 @@ def test_bad_magic(tmp_path):
 
 def test_truncated_data(tmp_path):
     path = tmp_path / "trunc.npy"
-    dataio.write_array(path, np.ones((4, 4)))
+    dataio.write_array(path, np.ones((4, 4)))  # 128-byte header, 128-byte payload
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])
-    with pytest.raises(dataio.FormatError, match="truncated data"):
+    with pytest.raises(dataio.FormatError) as info:
+        dataio.read_array(path)
+    assert str(info.value) == (f"{path}: truncated data at byte 128 "
+                               "(expected 128 bytes, got 112)")
+
+
+def test_file_cut_during_read_reports_bytes_read(tmp_path, monkeypatch):
+    path = tmp_path / "shrinks.npy"
+    dataio.write_array(path, np.ones((4, 4)))
+    path.write_bytes(path.read_bytes()[:-16])
+    real_fstat = dataio.os.fstat
+
+    class Stat:  # the size a stat saw before the file was cut
+        def __init__(self, fd):
+            self.st_size = real_fstat(fd).st_size + 16
+
+    monkeypatch.setattr(dataio.os, "fstat", Stat)
+    with pytest.raises(dataio.FormatError, match=r"at byte 128 \(expected 128 bytes, got 112\)"):
         dataio.read_array(path)
 
 
@@ -95,6 +114,14 @@ def test_fortran_order_rejected(tmp_path):
     np.save(path, np.asfortranarray(np.ones((3, 4))))
     with pytest.raises(dataio.FormatError, match="Fortran-order"):
         dataio.read_array(path)
+
+
+def test_transposed_save_rejected_as_features(tmp_path):
+    # np.save of a transposed T x D array writes a Fortran-order D x T file.
+    path = tmp_path / "fortran.npy"
+    np.save(path, np.ones((4, 3), dtype=np.float32).T)
+    with pytest.raises(dataio.FormatError, match=f"^{path}: Fortran-order"):
+        dataio.load_features(path, dataio.D_BY_T)
 
 
 def test_unsupported_dtype_rejected(tmp_path):
@@ -111,6 +138,36 @@ def test_non_finite_rejected(tmp_path):
     dataio.write_array(path, arr)
     with pytest.raises(dataio.DataError, match="frame 2, dim 1"):
         dataio.load_features(path, dataio.T_BY_D)
+
+
+def test_non_finite_in_d_by_t_float32_names_frame_and_dim(tmp_path):
+    # Past the first strip and tile of the copy; the other non-finite values
+    # come later in frame order, one at an earlier dim.
+    arr = np.ones((700, 600), dtype=np.float32)  # D x T
+    arr[650, 513] = np.nan
+    arr[3, 514] = np.inf
+    arr[699, 513] = -np.inf
+    path = tmp_path / "d_by_t.npy"
+    dataio.write_array(path, arr, "<f4")
+    with pytest.raises(dataio.DataError, match=r"non-finite feature value at frame 513, dim 650$"):
+        dataio.load_features(path, dataio.D_BY_T)
+
+
+def test_longdouble_beyond_float64_rejected():
+    big = np.full((3, 2), np.finfo(np.float64).max, dtype=np.longdouble)
+    big[1, 1] *= 4  # inf in float64 (and in a longdouble that is a double)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="frame 1, dim 1"):
+        FeatureSequence(big)
+
+
+def test_load_leaves_the_callers_array_writeable(tmp_path):
+    path = tmp_path / "d_by_t.npy"
+    dataio.write_array(path, np.arange(600.0).reshape(2, 300), "<f4")
+    stored = dataio.read_array(path)
+    feat = FeatureSequence(stored.T)
+    assert stored.flags.writeable and not feat.values.flags.writeable
+    stored[0, 0] = 7.0
+    assert feat.values[0, 0] == 0.0 and feat.values[299, 1] == 599.0
 
 
 @st.composite
@@ -300,3 +357,21 @@ def test_atomic_overwrite(tmp_path):
     dataio.save_labels(path, LabelSequence(np.array([0, 0]), 1))
     assert path.read_text() == "0\n0\n"
     assert list(tmp_path.iterdir()) == [path]  # no stray temp files
+
+
+@pytest.fixture(params=[0o022, 0o077], ids=["umask022", "umask077"])
+def umask(request):
+    old = os.umask(request.param)
+    yield request.param
+    os.umask(old)
+
+
+def test_written_files_follow_umask(tmp_path, umask):
+    writes = {"features.npy": lambda p: dataio.write_array(p, np.ones((2, 2))),
+              "labels.txt": lambda p: dataio.save_labels(p, LabelSequence(np.array([0]), 1)),
+              "text.txt": lambda p: dataio.save_text(p, "x\n")}
+    for name, write in writes.items():
+        write(tmp_path / name)
+        write(tmp_path / name)  # an overwrite gets the same mode
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writes)

@@ -8,7 +8,7 @@ segmentation metrics.
 """
 
 from .core import (AUTO, BoundarySet, CorrectionConfig, DetectConfig,
-                   FeatureSequence, LabelSequence, Segment, SegmentTimeline,
+                   FeatureSequence, LabelSequence, Segment,
                    boundaries_of, from_boundaries, run_classes, to_timeline)
 from .correction import (BoundaryRecord, CorrectionReport, auto_window_params,
                          correct_all)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AUTO", "BoundarySet", "CorrectionConfig", "DetectConfig",
-    "FeatureSequence", "LabelSequence", "Segment", "SegmentTimeline",
+    "FeatureSequence", "LabelSequence", "Segment",
     "boundaries_of", "from_boundaries", "run_classes", "to_timeline",
     "BoundaryRecord", "CorrectionReport", "auto_window_params", "correct_all",
     "MethodProposals", "auto_b_intrv", "cluster_bounds", "detect",

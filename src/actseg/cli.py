@@ -40,7 +40,11 @@ FULL_DTW_WARN_CELLS = 10**9
 def _int_or_auto(text: str):
     if text == AUTO:
         return AUTO
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer or {AUTO!r}, "
+                                         f"got {text!r}") from None
 
 
 def _default_jobs() -> int:
@@ -263,7 +267,8 @@ def _read_split(path: Path) -> list[str]:
     ids = [line.strip() for line in dataio.read_text(path).splitlines() if line.strip()]
     if not ids:
         raise ValueError(f"empty split bundle: {path}")
-    return [Path(i).stem for i in ids]  # tolerate ids written with extensions
+    # Tolerate ids written with a file suffix; any other dot (rgb.01) is part of the id.
+    return [p.stem if p.suffix in (".txt", ".npy") else p.name for p in map(Path, ids)]
 
 
 def _cmd_eval(args) -> int:
@@ -291,7 +296,10 @@ def _cmd_eval(args) -> int:
             raise dataio.DataError(f"{pred_path}: {len(pred)} frames, but ground truth "
                                    f"{gt_path} has {len(gt)}")
         if args.label_match == "hungarian":
-            pred = hungarian_label_match(pred, gt)
+            try:
+                pred = hungarian_label_match(pred, gt)
+            except ValueError as exc:
+                raise dataio.DataError(f"{pred_path}: {exc}") from None
         return pred, gt
 
     rows: list[tuple[str, EvalResult]] = []

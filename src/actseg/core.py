@@ -19,6 +19,15 @@ AUTO = "auto"
 _COPY_TILE = 256
 
 
+def check_int_or_auto(name: str, value: int | str) -> None:
+    """Raise ValueError unless `value` is AUTO or an int >= 1."""
+    if isinstance(value, str):
+        if value != AUTO:
+            raise ValueError(f"{name} must be a positive int or {AUTO!r}, got {value!r}")
+    elif value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -134,43 +143,16 @@ class Segment:
     end: int    # exclusive
 
 
-@dataclass(frozen=True)
-class SegmentTimeline:
-    """Run-length view: segments tile [0, T) and neighbours differ in class."""
-
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self):
-        segs = tuple(self.segments)
-        if not segs:
-            raise ValueError("empty timeline")
-        cursor = 0
-        for seg in segs:
-            if seg.start != cursor or seg.end <= seg.start:
-                raise ValueError(f"segments must tile [0, T) without gaps, bad segment {seg}")
-            cursor = seg.end
-        for a, b in zip(segs, segs[1:]):
-            if a.label == b.label:
-                raise ValueError(f"consecutive segments share class {a.label}")
-        object.__setattr__(self, "segments", segs)
-
-    def __iter__(self) -> Iterator[Segment]:
-        return iter(self.segments)
-
-    def __len__(self) -> int:
-        return len(self.segments)
-
-
-def to_timeline(labels: LabelSequence) -> SegmentTimeline:
-    """Run-length encode a label sequence into a segment timeline."""
+def to_timeline(labels: LabelSequence) -> tuple[Segment, ...]:
+    """Run-length encode a label sequence: the segments tile [0, T) in order,
+    and neighbouring segments differ in class."""
     arr = labels.labels
     if arr.size == 0:
         raise ValueError("empty sequence")
     change = np.flatnonzero(arr[1:] != arr[:-1]) + 1
     starts = np.concatenate(([0], change))
     ends = np.concatenate((change, [arr.size]))
-    segs = tuple(Segment(int(arr[s]), int(s), int(e)) for s, e in zip(starts, ends))
-    return SegmentTimeline(segs)
+    return tuple(Segment(int(arr[s]), int(s), int(e)) for s, e in zip(starts, ends))
 
 
 def boundaries_of(labels: LabelSequence) -> BoundarySet:
@@ -209,29 +191,28 @@ class CorrectionConfig:
     """Tunables for the boundary correction pass.
 
     b_win is the feature window around a candidate boundary, b_seg the
-    sub-segment granularity inside it; either may be AUTO to derive sizes
-    from the spread of boundary gaps.
+    sub-segment granularity inside it. Both are numbers, or both are AUTO
+    to derive sizes from the spread of boundary gaps.
     """
 
     b_win: int | str = 16
     b_seg: int | str = 4
 
     def __post_init__(self):
-        for name, value in (("b_win", self.b_win), ("b_seg", self.b_seg)):
-            if isinstance(value, str):
-                if value != AUTO:
-                    raise ValueError(f"{name} must be a positive int or {AUTO!r}, got {value!r}")
-            elif value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        if isinstance(self.b_win, int):
-            if self.b_win % 2:
-                raise ValueError(f"b_win must be even, got {self.b_win}")
-            if isinstance(self.b_seg, int):
-                if self.b_win < 2 * self.b_seg:
-                    raise ValueError(f"b_win must be >= 2 * b_seg ({self.b_win} < {2 * self.b_seg})")
-                if self.b_win % self.b_seg:
-                    raise ValueError(f"b_win must be divisible by b_seg "
-                                     f"({self.b_win} % {self.b_seg} != 0)")
+        check_int_or_auto("b_win", self.b_win)
+        check_int_or_auto("b_seg", self.b_seg)
+        if (self.b_win == AUTO) != (self.b_seg == AUTO):
+            raise ValueError(f"b_win and b_seg must both be {AUTO!r} or both be numbers, "
+                             f"got b_win={self.b_win!r}, b_seg={self.b_seg!r}")
+        if self.b_win == AUTO:
+            return
+        if self.b_win % 2:
+            raise ValueError(f"b_win must be even, got {self.b_win}")
+        if self.b_win < 2 * self.b_seg:
+            raise ValueError(f"b_win must be >= 2 * b_seg ({self.b_win} < {2 * self.b_seg})")
+        if self.b_win % self.b_seg:
+            raise ValueError(f"b_win must be divisible by b_seg "
+                             f"({self.b_win} % {self.b_seg} != 0)")
 
 
 @dataclass(frozen=True)
@@ -252,10 +233,6 @@ class DetectConfig:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if isinstance(self.b_intrv, str):
-            if self.b_intrv != AUTO:
-                raise ValueError(f"b_intrv must be a positive int or {AUTO!r}, got {self.b_intrv!r}")
-        elif self.b_intrv < 1:
-            raise ValueError(f"b_intrv must be >= 1, got {self.b_intrv}")
+        check_int_or_auto("b_intrv", self.b_intrv)
         if self.dim_reduce is not None and self.dim_reduce < 1:
             raise ValueError(f"dim_reduce must be >= 1, got {self.dim_reduce}")

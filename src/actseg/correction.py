@@ -68,7 +68,7 @@ def auto_window_params(bounds: BoundarySet) -> tuple[int, int]:
     """Derive (b_win, b_seg) from the spread of consecutive boundary gaps.
 
     b_win is the largest-to-smallest gap ratio, clamped to [4, 64] and
-    rounded down to even; b_seg divides it by its smallest divisor > 1.
+    rounded down to even; b_seg is half of it.
     Falls back to the fixed defaults (16, 4) with fewer than two
     boundaries. On synthetic 256-D corpora shaped like GTEA, 50Salads and
     Breakfast (segment means 6 apart), with boundaries shifted up to 5
@@ -83,33 +83,13 @@ def auto_window_params(bounds: BoundarySet) -> tuple[int, int]:
     ratio = int(round(float(gaps.max()) / float(gaps.min())))
     b_win = min(64, max(4, ratio))
     b_win -= b_win % 2
-    return b_win, _auto_b_seg(b_win)
-
-
-def _auto_b_seg(b_win: int) -> int:
-    """b_win divided by its smallest divisor > 1, lowered until it divides b_win."""
-    divisor = next(d for d in range(2, b_win + 1) if b_win % d == 0)
-    b_seg = max(2, b_win // divisor)
-    while b_win % b_seg:
-        b_seg -= 1
-    return b_seg
+    return b_win, b_win // 2
 
 
 def resolve_window_params(cfg: CorrectionConfig, bounds: BoundarySet) -> tuple[int, int]:
-    """Fill in AUTO sides of (b_win, b_seg) for a given boundary set."""
-    auto_win, auto_seg = (auto_window_params(bounds)
-                          if cfg.b_win == AUTO or cfg.b_seg == AUTO else (0, 0))
-    if cfg.b_win == AUTO and cfg.b_seg == AUTO:
-        return auto_win, auto_seg
+    """(b_win, b_seg) of `cfg`, derived from `bounds` when both are AUTO."""
     if cfg.b_win == AUTO:
-        b_seg = int(cfg.b_seg)
-        b_win = max(2 * b_seg, auto_win - auto_win % b_seg)
-        if b_win % 2:
-            b_win += b_seg  # keep it even; b_seg must be odd here
-        return b_win, b_seg
-    if cfg.b_seg == AUTO:
-        b_win = int(cfg.b_win)
-        return b_win, _auto_b_seg(b_win)
+        return auto_window_params(bounds)
     return int(cfg.b_win), int(cfg.b_seg)
 
 

@@ -26,6 +26,8 @@ from .metrics import EvalResult
 MAGIC = b"\x93NUMPY"
 SUPPORTED_DESCRS = ("<f4", "<f8")
 KNOWN_FEATURE_WIDTHS = (2048, 1024)
+# NumPy's own `max_header_size`; np.save writes under 200 bytes for a 2-D array.
+_MAX_HEADER_BYTES = 10_000
 
 D_BY_T = "d_by_t"
 T_BY_D = "t_by_d"
@@ -87,6 +89,9 @@ def _read_header(path: Path, handle) -> tuple[np.dtype, tuple[int, ...], int]:
     if len(raw) < 10:
         raise FormatError(f"{path}: truncated header length at byte 8")
     (header_len,) = struct.unpack("<H", raw[8:10])
+    if header_len > _MAX_HEADER_BYTES:  # the parser can exhaust memory on a crafted one
+        raise FormatError(f"{path}: NPY header length {header_len} at byte 8 exceeds "
+                          f"{_MAX_HEADER_BYTES} bytes")
     raw = handle.read(header_len)
     if len(raw) < header_len:
         raise FormatError(f"{path}: truncated header at byte 10 "

@@ -35,6 +35,11 @@ from .core import BoundarySet, LabelSequence, Segment, boundaries_of, to_timelin
 # IoU thresholds of the reported segmental F1 scores (F1@{10,25,50}).
 THRESHOLDS = (0.10, 0.25, 0.50)
 
+# Largest (pred ids x gt classes) overlap matrix hungarian_label_match builds:
+# 80 MB of float64. Bare prediction ids are not compacted, since dropping the
+# rows of absent ids would change the solver's choice among equal optima.
+_MAX_OVERLAP_CELLS = 10**7
+
 
 @dataclass(frozen=True)
 class EvalOptions:
@@ -242,8 +247,13 @@ def hungarian_label_match(pred: LabelSequence, gt: LabelSequence) -> LabelSequen
 
     Prediction ids left without a partner map to a reserved extra class
     (gt.class_count), so the result never collides with a real class.
+    Raises ValueError when the overlap matrix would exceed _MAX_OVERLAP_CELLS.
     """
     _check_lengths(pred, gt)
+    if pred.class_count * gt.class_count > _MAX_OVERLAP_CELLS:
+        raise ValueError(f"label matching needs a {pred.class_count} x {gt.class_count} "
+                         f"overlap matrix, more than {_MAX_OVERLAP_CELLS} cells; "
+                         f"prediction ids must be dense")
     overlap = np.zeros((pred.class_count, gt.class_count))  # frames per (pred id, gt class)
     np.add.at(overlap, (pred.labels, gt.labels), 1.0)
     rows, cols = _max_assignment(overlap)

@@ -9,11 +9,12 @@ boundaries survive while outlier classes inside segments are removed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AUTO, LabelSequence, boundaries_of
+from .core import AUTO, LabelSequence, boundaries_of, check_int_or_auto
 
 
 @dataclass(frozen=True)
@@ -26,11 +27,7 @@ class SmoothConfig:
     stride: int | None = None
 
     def __post_init__(self):
-        if isinstance(self.s_win, str):
-            if self.s_win != AUTO:
-                raise ValueError(f"s_win must be a positive int or {AUTO!r}, got {self.s_win!r}")
-        elif self.s_win < 1:
-            raise ValueError(f"s_win must be >= 1, got {self.s_win}")
+        check_int_or_auto("s_win", self.s_win)
         if self.stride is not None and self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
 
@@ -84,12 +81,13 @@ def vote(preds: PredictionSet) -> LabelSequence:
 
 
 def _majority(window: np.ndarray) -> int:
-    counts = np.bincount(window)
-    best = counts.max()
-    for v in window:  # tie: earliest class in window order
-        if counts[v] == best:
-            return int(v)
-    raise AssertionError("unreachable")
+    """Most frequent value in `window`; a tie goes to the one seen first.
+
+    Counts only the values present (a bare class id can be any int64). The
+    Counter keeps first-appearance order and max keeps the first of equals.
+    """
+    counts = Counter(window.tolist())
+    return max(counts, key=counts.get)
 
 
 def auto_s_win(labels: LabelSequence) -> int:

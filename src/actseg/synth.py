@@ -105,8 +105,5 @@ def perturb_boundaries(labels: LabelSequence, max_shift: int, seed: int) -> Labe
     rng = np.random.default_rng(seed)
     shifts = rng.integers(-max_shift, max_shift + 1, size=len(bounds))
     moved = [int(b + s) for b, s in zip(bounds, shifts)]
-    edges = [0, *moved, len(labels)]
-    if any(b >= a for a, b in zip(edges[1:], edges[:-1])):
-        raise ValueError("shift would merge segments")
     return from_boundaries(BoundarySet(tuple(moved)), run_classes(labels),
                            len(labels), labels.class_count)

@@ -193,9 +193,28 @@ def _oversized_label_id(tmp_path):
         f"{path}:2: class id '99999999999999999999' does not fit in int64"
 
 
+def _huge_npy_header(tmp_path):
+    # A long unary-minus chain makes Python's literal parser run out of memory.
+    path = tmp_path / "deep.npy"
+    header = b"-" * 60000 + b"1"
+    path.write_bytes(dataio.MAGIC + bytes([1, 0]) + len(header).to_bytes(2, "little") + header)
+    return path, ["detect", str(path), "--num-classes", "2",
+                  "--out-bounds", str(tmp_path / "b.txt")], "header length 60001 at byte 8"
+
+
+def _sparse_ids_hungarian(tmp_path):
+    for sub, text in (("pred", "0\n1000000000000\n0\n"), ("gt", "0\n1\n0\n")):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "v.txt").write_text(text)
+    return tmp_path / "pred" / "v.txt", \
+        ["eval", str(tmp_path / "pred"), str(tmp_path / "gt"), "--pred-format", "ids",
+         "--label-match", "hungarian"], "1000000000001 x 2 overlap matrix"
+
+
 @pytest.mark.parametrize("bad_input", [_negative_dim_npy, _overflowing_shape_npy,
                                        _zero_frame_npy, _negative_label_id,
-                                       _oversized_label_id])
+                                       _oversized_label_id, _huge_npy_header,
+                                       _sparse_ids_hungarian])
 def test_bad_input_exit_2_names_file(tmp_path, capsys, bad_input):
     path, argv, detail = bad_input(tmp_path)
     assert main(argv) == 2
@@ -409,7 +428,19 @@ def _data_root_path(tmp_path):
         "error: [Errno 2] No such file or directory: 'p.txt'"
 
 
-@pytest.mark.parametrize("case", [_vote_seed, _eval_greedy, _data_root_path])
+def _mixed_window(b_win, b_seg):
+    def case(tmp_path):
+        dataio.write_array(tmp_path / "f.npy", np.ones((4, 2)))
+        (tmp_path / "p.txt").write_text("0\n0\n1\n1\n")
+        return ["correct", "f.npy", "p.txt", "--b-win", b_win, "--b-seg", b_seg,
+                "--out", "o.txt"], "b_win and b_seg must both be 'auto' or both be numbers"
+    return case
+
+
+@pytest.mark.parametrize("case", [
+    _vote_seed, _eval_greedy, _data_root_path,
+    pytest.param(_mixed_window("auto", "4"), id="_auto_b_win"),
+    pytest.param(_mixed_window("2", "auto"), id="_auto_b_seg")])
 def test_removed_inputs_exit_2(tmp_path, capsys, monkeypatch, case):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("ACTSEG_DATA_ROOT", str(tmp_path / "root"))
@@ -417,6 +448,31 @@ def test_removed_inputs_exit_2(tmp_path, capsys, monkeypatch, case):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o.txt").exists()
+
+
+def test_window_flag_text_exit_2(tmp_path, capsys):
+    assert main(["correct", "f.npy", "p.txt", "--b-win", "x", "--out", "o.txt"]) == 2
+    assert "argument --b-win: expected a positive integer or 'auto', got 'x'" \
+        in capsys.readouterr().err
+
+
+def test_smooth_huge_bare_id(tmp_path):
+    (tmp_path / "big.txt").write_text("0\n1000000000000\n0\n")
+    assert main(["smooth", str(tmp_path / "big.txt"), "--s-win", "2",
+                 "--out", str(tmp_path / "s.txt")]) == 0
+    assert (tmp_path / "s.txt").read_text() == "0\n0\n0\n"
+
+
+def test_eval_dotted_split_ids(tmp_path, capsys):
+    for sub in ("pred", "gt"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "rgb.01.txt").write_text("0\n0\n1\n1\n")
+    (tmp_path / "bare.txt").write_text("rgb.01\n")
+    (tmp_path / "suffixed.txt").write_text("rgb.01.txt\n")
+    assert main(["eval", str(tmp_path / "pred"), str(tmp_path / "gt"), "--pred-format", "ids",
+                 "--splits", str(tmp_path / "bare.txt"), str(tmp_path / "suffixed.txt")]) == 0
+    rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[2:5]]
+    assert rows == [["bare", "100.00"], ["suffixed", "100.00"], ["avg", "100.00"]]
 
 
 def test_repeat_runs_bit_identical(synth_dir, tmp_path):

@@ -3,11 +3,12 @@ from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from actseg.core import (BoundarySet, CorrectionConfig, DetectConfig,
-                         FeatureSequence, LabelSequence, SegmentTimeline,
-                         boundaries_of, from_boundaries, run_classes,
-                         to_timeline)
+                         FeatureSequence, LabelSequence, boundaries_of,
+                         from_boundaries, run_classes, to_timeline)
 
 A, B, C = 0, 1, 2
 
@@ -128,10 +129,14 @@ def test_values_stay_frozen_across_pickling():
     assert pickle.loads(ForkingPickler.dumps(ls)) == ls
 
 
-def test_timeline_rejects_equal_neighbours():
-    from actseg.core import Segment
-    with pytest.raises(ValueError, match="share class"):
-        SegmentTimeline((Segment(A, 0, 2), Segment(A, 2, 4)))
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=60))
+def test_timeline_tiles_and_neighbours_differ(values):
+    segs = to_timeline(seq(values, classes=4))
+    assert segs[0].start == 0 and segs[-1].end == len(values)
+    for a, b in zip(segs, segs[1:]):
+        assert a.end == b.start and a.label != b.label
+    for s in segs:
+        assert s.start < s.end and set(values[s.start:s.end]) == {s.label}
 
 
 def test_correction_config_invariants():
@@ -143,6 +148,9 @@ def test_correction_config_invariants():
     with pytest.raises(ValueError, match="even"):
         CorrectionConfig(15, 3)
     CorrectionConfig("auto", "auto")
+    for mixed in (("auto", 4), (2, "auto")):
+        with pytest.raises(ValueError, match="b_win and b_seg must both be"):
+            CorrectionConfig(*mixed)
 
 
 def test_detect_config_invariants():

@@ -44,6 +44,17 @@ def test_auto_params_fallback():
     assert auto_window_params(BoundarySet(())) == (16, 4)
 
 
+@given(st.lists(st.integers(1, 500), max_size=12))
+def test_auto_params_halve_an_even_window(gaps):
+    bounds = BoundarySet(tuple(np.cumsum(gaps).tolist()))
+    b_win, b_seg = auto_window_params(bounds)
+    if len(bounds) < 2:
+        assert (b_win, b_seg) == (16, 4)
+    else:
+        assert b_seg == b_win // 2 and b_win % 2 == 0 and 4 <= b_win <= 64
+        assert resolve_window_params(CorrectionConfig(AUTO, AUTO), bounds) == (b_win, b_seg)
+
+
 # ------------------------------------------------ one boundary's record
 
 def test_recovers_step_at_16_from_12():

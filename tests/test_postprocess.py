@@ -4,7 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actseg.core import LabelSequence
-from actseg.postprocess import PredictionSet, SmoothConfig, auto_s_win, smooth, vote
+from actseg.postprocess import (PredictionSet, SmoothConfig, _majority, auto_s_win, smooth,
+                                vote)
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -189,6 +190,20 @@ def test_smooth_invariants(labels, s_win, stride):
     assert out.labels[untouched:].tolist() == labels.labels[untouched:].tolist()
     constant = seq(np.full(len(labels), labels.labels[0]), labels.class_count)
     assert smooth(constant, cfg) == constant
+
+
+def _bincount_majority(window):
+    """Reference: the most frequent id, ties to the earliest in window order."""
+    counts = np.bincount(window)
+    return next(int(v) for v in window if counts[v] == counts.max())
+
+
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=30))
+def test_majority_matches_bincount_reference(values):
+    window = np.asarray(values, dtype=np.int64)
+    assert _majority(window) == _bincount_majority(window)
+    # The same window over ids too large to bincount.
+    assert _majority(window + 10**12) == _bincount_majority(window) + 10**12
 
 
 # -------------------------------------------------------------- auto_s_win

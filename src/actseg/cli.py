@@ -61,12 +61,7 @@ def _collect(path: Path, suffix: str) -> tuple[list[tuple[str, Path]], bool]:
 
 
 def _target(base: Path, batch: bool, stem: str, suffix: str) -> Path:
-    base = Path(base)
-    if batch:
-        base.mkdir(parents=True, exist_ok=True)
-        return base / f"{stem}{suffix}"
-    base.parent.mkdir(parents=True, exist_ok=True)
-    return base
+    return base / f"{stem}{suffix}" if batch else base
 
 
 # The batch a forked worker serves, set by `_adopt` in each worker.
@@ -255,9 +250,7 @@ def _cmd_vote(args) -> int:
         classes = max(s.class_count for s in sources)
         sources = tuple(LabelSequence(s.labels, classes) for s in sources)
     fused = vote(PredictionSet(sources, trusted_index=args.trusted))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    dataio.save_labels(out, fused, mapping)
+    dataio.save_labels(args.out, fused, mapping)
     return 0
 
 
@@ -320,9 +313,7 @@ def _cmd_eval(args) -> int:
     for key, value in overall.field_values().items():
         print(f"{key}={value!r}")
     if args.report:
-        report = Path(args.report)
-        report.parent.mkdir(parents=True, exist_ok=True)
-        dataio.save_report(report, overall)
+        dataio.save_report(args.report, overall)
     return 0
 
 
@@ -368,29 +359,19 @@ def _cmd_synth(args) -> int:
 
 
 def _write_synth(out: Path, args, spec: SynthSpec, mapping: dataio.ClassMapping) -> None:
-    features_dir = out / "features"
-    gt_dir = out / "groundTruth"
-    bounds_dir = out / "bounds"
-    splits_dir = out / "splits"
-    for d in (features_dir, gt_dir, bounds_dir, splits_dir):
-        d.mkdir(parents=True, exist_ok=True)
     dataio.save_mapping(out / "mapping.txt", mapping)
-
     ids = []
-    pred_dir = out / "predictions"
-    if args.perturb > 0:
-        pred_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
         vid = f"synth_{i:03d}"
         feat, labels, bounds = generate(replace(spec, seed=args.seed + i))
-        dataio.save_features(features_dir / f"{vid}.npy", feat)
-        dataio.save_labels(gt_dir / f"{vid}.txt", labels, mapping)
-        dataio.save_boundaries(bounds_dir / f"{vid}.txt", bounds)
+        dataio.save_features(out / "features" / f"{vid}.npy", feat)
+        dataio.save_labels(out / "groundTruth" / f"{vid}.txt", labels, mapping)
+        dataio.save_boundaries(out / "bounds" / f"{vid}.txt", bounds)
         if args.perturb > 0:
             noisy = perturb_boundaries(labels, args.perturb, seed=args.seed + 1000 + i)
-            dataio.save_labels(pred_dir / f"{vid}.txt", noisy, mapping)
+            dataio.save_labels(out / "predictions" / f"{vid}.txt", noisy, mapping)
         ids.append(vid)
-    dataio.save_text(splits_dir / "all.txt", "".join(f"{v}\n" for v in ids))
+    dataio.save_text(out / "splits" / "all.txt", "".join(f"{v}\n" for v in ids))
 
 
 # ---------------------------------------------------------------- plot
@@ -403,9 +384,7 @@ def _cmd_plot(args) -> int:
         return 0
     if not args.out:
         raise ValueError("plot needs --out FILE.svg (or --text)")
-    svg = render_svg(rows, args.width if args.width is not None else 1000)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    dataio.save_text(args.out, svg)
+    dataio.save_text(args.out, render_svg(rows, args.width if args.width is not None else 1000))
     return 0
 
 

@@ -1,32 +1,32 @@
 """File formats for features, labels, boundaries, class mappings, and reports.
 
-Features travel in the NPY v1.0 array container (magic 0x93 'NUMPY',
-2-byte little-endian header length, dict header), restricted to what the
+Features travel in the NPY v1.0 array container, which NumPy's
+`numpy.lib.format` parses and writes. dataio restricts it to what the
 public benchmark feature dumps actually use: little-endian float32/float64,
-C order, 2-D. Everything else is rejected with a clear message. Labels are
+C order, 2-D, whole non-negative dimensions, a header under 10 000 bytes.
+Everything else is rejected with a message that names the file. Labels are
 one class name per line; boundaries one integer per line; mappings one
 "index name" pair per line, all UTF-8 text. All writes are atomic (temp
-file + rename).
+file + rename) and create the output's directory.
 """
 
 from __future__ import annotations
 
-import ast
 import math
 import os
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .core import BoundarySet, FeatureSequence, LabelSequence
 from .metrics import EvalResult
 
-MAGIC = b"\x93NUMPY"
+MAGIC = npy_format.MAGIC_PREFIX
 SUPPORTED_DESCRS = ("<f4", "<f8")
 KNOWN_FEATURE_WIDTHS = (2048, 1024)
-# NumPy's own `max_header_size`; np.save writes under 200 bytes for a 2-D array.
+# NumPy's default `max_header_size`; np.save writes under 200 bytes for a 2-D array.
 _MAX_HEADER_BYTES = 10_000
 
 D_BY_T = "d_by_t"
@@ -42,20 +42,22 @@ class DataError(ValueError):
     """The container parsed but its payload is unusable."""
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write `data` to a new hidden sibling file, then rename it over `path`.
+def _atomic_write(path: Path, write) -> None:
+    """Call `write(handle)` on a new hidden sibling file, then rename it over `path`.
 
-    The sibling is made with mode 0o666 for the umask to narrow, as for any
-    new file (tempfile.mkstemp gives 0o600 whatever the umask, and reading
-    the umask is a set-and-restore that races with other threads). O_EXCL
-    keeps the random name from clobbering anything.
+    Makes `path`'s directory first. The sibling is made with mode 0o666 for
+    the umask to narrow, as for any new file (tempfile.mkstemp gives 0o600
+    whatever the umask, and reading the umask is a set-and-restore that
+    races with other threads). O_EXCL keeps the random name from clobbering
+    anything.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            write(handle)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -65,7 +67,7 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 def save_text(path, text: str) -> None:
     """Write `text` as UTF-8, atomically."""
-    _atomic_write(Path(path), text.encode())
+    _atomic_write(path, lambda handle: handle.write(text.encode()))
 
 
 def read_text(path) -> str:
@@ -86,33 +88,26 @@ def _read_header(path: Path, handle) -> tuple[np.dtype, tuple[int, ...], int]:
     major, minor = raw[6], raw[7]
     if (major, minor) != (1, 0):
         raise FormatError(f"{path}: unsupported NPY version {major}.{minor} at byte 6")
-    if len(raw) < 10:
-        raise FormatError(f"{path}: truncated header length at byte 8")
-    (header_len,) = struct.unpack("<H", raw[8:10])
+    header_len = int.from_bytes(raw[8:], "little")
     if header_len > _MAX_HEADER_BYTES:  # the parser can exhaust memory on a crafted one
         raise FormatError(f"{path}: NPY header length {header_len} at byte 8 exceeds "
                           f"{_MAX_HEADER_BYTES} bytes")
-    raw = handle.read(header_len)
-    if len(raw) < header_len:
-        raise FormatError(f"{path}: truncated header at byte 10 "
-                          f"(expected {header_len} bytes)")
+    handle.seek(8)
     try:
-        header = ast.literal_eval(raw.decode("latin1"))
-        descr = header["descr"]
-        fortran = header["fortran_order"]
-        shape = tuple(int(x) for x in header["shape"])
-    except (ValueError, SyntaxError, KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: unparsable NPY header at byte 10 ({exc})") from exc
+        shape, fortran, dtype = npy_format.read_array_header_1_0(
+            handle, max_header_size=_MAX_HEADER_BYTES)
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad NPY header at byte 8 ({exc})") from None
     if any(n < 0 for n in shape):
         raise FormatError(f"{path}: negative dimension in NPY header at byte 10, "
                           f"shape {shape}")
-    if descr not in SUPPORTED_DESCRS:
-        raise FormatError(f"{path}: unsupported dtype {descr!r} "
+    if dtype.str not in SUPPORTED_DESCRS:
+        raise FormatError(f"{path}: unsupported dtype {dtype.str!r} "
                           f"(supported: {', '.join(SUPPORTED_DESCRS)})")
     if fortran:
         raise FormatError(f"{path}: Fortran-order arrays are not supported; "
                           "re-save the array in C order")
-    return np.dtype(descr), shape, 10 + header_len
+    return dtype, shape, 10 + header_len
 
 
 def read_array(path) -> np.ndarray:
@@ -137,17 +132,15 @@ def read_array(path) -> np.ndarray:
 
 
 def write_array(path, array: np.ndarray, descr: str = "<f8") -> None:
-    """Write an NPY v1.0 array with the given on-disk dtype."""
+    """Write an NPY v1.0 array with the given on-disk dtype, in C order."""
     if descr not in SUPPORTED_DESCRS:
         raise FormatError(f"unsupported dtype {descr!r} "
                           f"(supported: {', '.join(SUPPORTED_DESCRS)})")
-    arr = np.ascontiguousarray(np.asarray(array, dtype=np.dtype(descr)))
-    header = ("{'descr': '%s', 'fortran_order': False, 'shape': %s, }"
-              % (descr, repr(arr.shape)))
-    pad = 64 - (len(MAGIC) + 4 + len(header) + 1) % 64
-    header = header + " " * pad + "\n"
-    blob = MAGIC + bytes([1, 0]) + struct.pack("<H", len(header)) + header.encode("latin1")
-    _atomic_write(Path(path), blob + arr.tobytes())
+    # NumPy writes an F-contiguous input (a transpose) in Fortran order,
+    # which read_array refuses.
+    arr = np.ascontiguousarray(array, dtype=descr)
+    _atomic_write(path, lambda handle: npy_format.write_array(
+        handle, arr, (1, 0), allow_pickle=False))
 
 
 def _transposed(path: Path, shape: tuple[int, ...], orientation: str) -> bool:

@@ -134,8 +134,10 @@ def detect(feat: FeatureSequence, cfg: DetectConfig,
     b_intrv; then merged with nearby survivors averaged. When cfg.b_intrv
     is AUTO it is resolved from the mean-filtered, pre-pruning proposals.
     """
-    if feat.frames < max(2, cfg.num_classes):
-        raise ValueError(f"too few frames ({feat.frames}) for detection")
+    need = max(2, cfg.num_classes)
+    if feat.frames < need:
+        raise ValueError(f"too few frames ({feat.frames}) for detection: need at least "
+                         f"{need} for num_classes {cfg.num_classes}")
     values = feat.values
     if cfg.dim_reduce is not None and cfg.dim_reduce < feat.dim:
         values = _project(values, cfg.dim_reduce, seed)

@@ -17,6 +17,7 @@ _ROW_HEIGHT = 28
 _ROW_GAP = 8
 _LABEL_WIDTH = 120
 _TEXT_GLYPHS = "█▓▒░▚▞▮▯◆◇"
+_MAX_TEXT_WIDTH = 10_000  # columns; the strips are built in memory before printing
 
 
 def class_color(class_id: int) -> str:
@@ -62,6 +63,8 @@ def render_text(rows: Sequence[tuple[str, LabelSequence]], width: int = 72) -> s
         raise ValueError("nothing to draw")
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
+    if width > _MAX_TEXT_WIDTH:
+        raise ValueError(f"width must be <= {_MAX_TEXT_WIDTH}, got {width}")
     name_width = max(len(name) for name, _ in rows)
     lines = []
     for name, labels in rows:

@@ -179,6 +179,13 @@ def _zero_frame_npy(tmp_path):
                   "--out-bounds", str(tmp_path / "b.txt")], "T, D >= 1"
 
 
+def _more_classes_than_frames(tmp_path):
+    path = tmp_path / "short.npy"
+    dataio.write_array(path, np.random.default_rng(0).normal(size=(5, 3)))
+    return path, ["detect", str(path), "--num-classes", "1000",
+                  "--out-bounds", str(tmp_path / "b.txt")], "num_classes 1000"
+
+
 def _negative_label_id(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("0\n-1\n")
@@ -212,7 +219,8 @@ def _sparse_ids_hungarian(tmp_path):
 
 
 @pytest.mark.parametrize("bad_input", [_negative_dim_npy, _overflowing_shape_npy,
-                                       _zero_frame_npy, _negative_label_id,
+                                       _zero_frame_npy, _more_classes_than_frames,
+                                       _negative_label_id,
                                        _oversized_label_id, _huge_npy_header,
                                        _sparse_ids_hungarian])
 def test_bad_input_exit_2_names_file(tmp_path, capsys, bad_input):
@@ -343,8 +351,8 @@ def test_plot_empty_labels_exit_2(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("width", ["0", "-3"])
-@pytest.mark.parametrize("mode", ["text", "svg"])
+@pytest.mark.parametrize("mode, width", [("text", "0"), ("svg", "0"), ("text", "-3"),
+                                         ("svg", "-3"), ("text", "100000000")])
 def test_plot_bad_width_exit_2(tmp_path, capsys, mode, width):
     labels = tmp_path / "l.txt"
     labels.write_text("0\n0\n1\n")
@@ -352,7 +360,8 @@ def test_plot_bad_width_exit_2(tmp_path, capsys, mode, width):
     argv = ["--text"] if mode == "text" else ["--out", str(fig)]
     assert main(["plot", str(labels), *argv, "--width", width]) == 2
     out, err = capsys.readouterr()
-    assert f"width must be >= 1, got {width}" in err
+    bound = ">= 1" if int(width) < 1 else "<= 10000"
+    assert f"width must be {bound}, got {width}" in err
     assert out == "" and not fig.parent.exists()
 
 

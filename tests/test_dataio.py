@@ -83,6 +83,16 @@ def test_bad_magic(tmp_path):
         dataio.read_array(path)
 
 
+def test_non_integer_dimension_rejected(tmp_path):
+    path = tmp_path / "float_dim.npy"
+    dataio.write_array(path, np.ones((2, 3)))
+    path.write_bytes(path.read_bytes().replace(b"(2, 3)", b"(2.,3)"))  # same header length
+    with pytest.raises(ValueError):
+        np.load(path)
+    with pytest.raises(dataio.FormatError, match=f"^{path}: bad NPY header at byte 8 "):
+        dataio.read_array(path)
+
+
 def test_truncated_data(tmp_path):
     path = tmp_path / "trunc.npy"
     dataio.write_array(path, np.ones((4, 4)))  # 128-byte header, 128-byte payload
@@ -357,6 +367,13 @@ def test_atomic_overwrite(tmp_path):
     dataio.save_labels(path, LabelSequence(np.array([0, 0]), 1))
     assert path.read_text() == "0\n0\n"
     assert list(tmp_path.iterdir()) == [path]  # no stray temp files
+
+
+def test_writes_make_missing_directories(tmp_path):
+    dataio.write_array(tmp_path / "a" / "b" / "f.npy", np.ones((2, 2)))
+    dataio.save_text(tmp_path / "c" / "t.txt", "x\n")
+    assert (tmp_path / "a" / "b" / "f.npy").is_file()
+    assert (tmp_path / "c" / "t.txt").read_text() == "x\n"
 
 
 @pytest.fixture(params=[0o022, 0o077], ids=["umask022", "umask077"])

@@ -93,11 +93,13 @@ def _read_header(path: Path, handle) -> tuple[np.dtype, tuple[int, ...], int]:
         raise FormatError(f"{path}: NPY header length {header_len} at byte 8 exceeds "
                           f"{_MAX_HEADER_BYTES} bytes")
     handle.seek(8)
+    # On a crafted header NumPy's parser raises more than ValueError: TypeError,
+    # tokenize.TokenError, RecursionError, the Python parser's MemoryError, ...
     try:
-        shape, fortran, dtype = npy_format.read_array_header_1_0(
-            handle, max_header_size=_MAX_HEADER_BYTES)
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad NPY header at byte 8 ({exc})") from None
+        shape, fortran, dtype = npy_format.read_array_header_1_0(handle)
+    except Exception as exc:
+        raise FormatError(f"{path}: bad NPY header at byte 8 "
+                          f"({str(exc) or type(exc).__name__})") from None
     if any(n < 0 for n in shape):
         raise FormatError(f"{path}: negative dimension in NPY header at byte 10, "
                           f"shape {shape}")

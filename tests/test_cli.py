@@ -209,6 +209,24 @@ def _huge_npy_header(tmp_path):
                   "--out-bounds", str(tmp_path / "b.txt")], "header length 60001 at byte 8"
 
 
+def _unclosed_npy_header(tmp_path):
+    # NumPy retries the header through the tokenizer, which raises TokenError
+    path = tmp_path / "unclosed.npy"
+    dataio.write_array(path, np.ones((2, 3)))
+    path.write_bytes(path.read_bytes().replace(b"}", b" ", 1))  # same header length
+    return path, ["detect", str(path), "--num-classes", "2",
+                  "--out-bounds", str(tmp_path / "b.txt")], "bad NPY header at byte 8"
+
+
+def _unhashable_npy_header(tmp_path):
+    # the literal parser raises TypeError on a list used as a key
+    path = tmp_path / "unhashable.npy"
+    header = b"{[]: 0}"
+    path.write_bytes(dataio.MAGIC + bytes([1, 0]) + len(header).to_bytes(2, "little") + header)
+    return path, ["detect", str(path), "--num-classes", "2",
+                  "--out-bounds", str(tmp_path / "b.txt")], "bad NPY header at byte 8"
+
+
 def _sparse_ids_hungarian(tmp_path):
     for sub, text in (("pred", "0\n1000000000000\n0\n"), ("gt", "0\n1\n0\n")):
         (tmp_path / sub).mkdir()
@@ -222,6 +240,7 @@ def _sparse_ids_hungarian(tmp_path):
                                        _zero_frame_npy, _more_classes_than_frames,
                                        _negative_label_id,
                                        _oversized_label_id, _huge_npy_header,
+                                       _unclosed_npy_header, _unhashable_npy_header,
                                        _sparse_ids_hungarian])
 def test_bad_input_exit_2_names_file(tmp_path, capsys, bad_input):
     path, argv, detail = bad_input(tmp_path)

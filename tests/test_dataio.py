@@ -93,6 +93,28 @@ def test_non_integer_dimension_rejected(tmp_path):
         dataio.read_array(path)
 
 
+@pytest.mark.parametrize("header", [
+    b"-" * 3000 + b"1",  # RecursionError in the literal parser
+    b"-" * 9000 + b"1",  # MemoryError from the parser's depth guard
+    b"{'descr': '<f8', 'fortran_order': False, 'shape': (1e999,)}",  # inf
+    b"{'descr': '<f8', 'fortran_order': False, 'shape': (0,), 'x': 1}",
+    b"{'descr': '<f8', 'fortran_order': 0, 'shape': (0,)}",
+], ids=["deep3000", "deep9000", "inf_dim", "extra_key", "fortran_int"])
+def test_unparsable_header_rejected(tmp_path, header):
+    path = tmp_path / "bad.npy"
+    path.write_bytes(dataio.MAGIC + bytes([1, 0]) + len(header).to_bytes(2, "little") + header)
+    with pytest.raises(dataio.FormatError, match=f"^{path}: bad NPY header at byte 8 "):
+        dataio.read_array(path)
+
+
+def test_python2_header_loads(tmp_path):
+    path = tmp_path / "py2.npy"
+    dataio.write_array(path, np.ones((2, 3)))
+    path.write_bytes(path.read_bytes().replace(b"(2, 3), }", b"(2L, 3L)}"))  # same length
+    with pytest.warns(UserWarning, match="Python 2"):
+        assert dataio.read_array(path).shape == (2, 3)
+
+
 def test_truncated_data(tmp_path):
     path = tmp_path / "trunc.npy"
     dataio.write_array(path, np.ones((4, 4)))  # 128-byte header, 128-byte payload

@@ -13,8 +13,8 @@ from .core import (AUTO, BoundarySet, CorrectionConfig, DetectConfig,
 from .correction import (BoundaryRecord, CorrectionReport, auto_window_params,
                          correct_all)
 from .detect import (MethodProposals, auto_b_intrv, cluster_bounds, detect,
-                     frame_scores, mean_filter, merge_mean, remove_close,
-                     segment_labels)
+                     frame_scores, majority_labels, mean_filter, merge_mean,
+                     remove_close, segment_labels)
 from .metrics import (EvalOptions, EvalResult, boundary_f1, edit_score,
                       evaluate, evaluate_batch, f1_at, hungarian_label_match)
 from .postprocess import (PredictionSet, SmoothConfig, auto_s_win, smooth,
@@ -30,8 +30,8 @@ __all__ = [
     "boundaries_of", "from_boundaries", "run_classes", "to_timeline",
     "BoundaryRecord", "CorrectionReport", "auto_window_params", "correct_all",
     "MethodProposals", "auto_b_intrv", "cluster_bounds", "detect",
-    "frame_scores", "mean_filter", "merge_mean", "remove_close",
-    "segment_labels",
+    "frame_scores", "majority_labels", "mean_filter", "merge_mean",
+    "remove_close", "segment_labels",
     "EvalOptions", "EvalResult", "boundary_f1", "edit_score", "evaluate",
     "evaluate_batch", "f1_at", "hungarian_label_match",
     "PredictionSet", "SmoothConfig", "auto_s_win", "smooth", "vote",

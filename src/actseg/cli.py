@@ -23,7 +23,7 @@ from pathlib import Path
 from . import dataio
 from .core import AUTO, CorrectionConfig, DetectConfig, LabelSequence
 from .correction import correct_all
-from .detect import detect, segment_labels
+from .detect import detect, majority_labels
 from .metrics import (THRESHOLDS, EvalOptions, EvalResult, evaluate_batch,
                       hungarian_label_match, mean_result)
 from .postprocess import PredictionSet, SmoothConfig, auto_s_win, smooth, vote
@@ -116,7 +116,12 @@ def _each_video(jobs: int, items: list, run, write) -> int:
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        raise ValueError(f"--jobs {jobs} needs the 'fork' start method, which this "
+                         "system lacks; --jobs 1 runs every video in one process") from None
+    with ProcessPoolExecutor(workers, mp_context=context,
                              initializer=_adopt, initargs=(run, items)) as pool:
         try:
             return _write_in_order(pool.map(_attempt_nth, range(len(items))), write)
@@ -149,11 +154,15 @@ def _cmd_detect(args) -> int:
     def run(item):
         vid, path = item
         feat = dataio.load_features(path, args.orientation)
+        cells = (feat.frames - 1) * feat.dim ** 2
+        if args.dim_reduce is None and cells > FULL_DTW_WARN_CELLS:
+            log.warning("%s: full-D DTW on T=%d frames x D=%d dims is %.1e cost cells; "
+                        "consider --dim-reduce 64", vid, feat.frames, feat.dim, cells)
         try:
             bounds, props = detect(feat, cfg, seed=args.seed)
         except ValueError as exc:
             raise dataio.DataError(f"{path}: {exc}") from None
-        labels = (segment_labels(feat, bounds, cfg.num_classes, args.seed)
+        labels = (majority_labels(props.clusters, bounds, cfg.num_classes)
                   if args.out_labels else None)
         return vid, bounds, props, labels
 
@@ -168,18 +177,6 @@ def _cmd_detect(args) -> int:
         if not bounds:
             degenerate.append(vid)
 
-    if args.dim_reduce is None:
-        # Warn from the file headers before any video starts; a file that
-        # cannot be read is reported when its video runs.
-        for vid, path in inputs:
-            try:
-                frames, dim = dataio.feature_shape(path, args.orientation)
-            except (ValueError, OSError):
-                continue
-            cells = (frames - 1) * dim ** 2
-            if cells > FULL_DTW_WARN_CELLS:
-                log.warning("%s: full-D DTW on T=%d frames x D=%d dims is %.1e cost cells; "
-                            "consider --dim-reduce 64", vid, frames, dim, cells)
     code = _each_video(args.jobs, inputs, run, write)
     if degenerate:
         log.warning("no boundaries detected for: %s", ", ".join(degenerate))

@@ -157,14 +157,6 @@ def _transposed(path: Path, shape: tuple[int, ...], orientation: str) -> bool:
                                      and shape[1] not in KNOWN_FEATURE_WIDTHS)
 
 
-def feature_shape(path, orientation: str = AUTO_ORIENT) -> tuple[int, int]:
-    """The (frames, dims) that `load_features` would return, read from the header only."""
-    path = Path(path)
-    with open(path, "rb") as handle:
-        shape = _read_header(path, handle)[1]
-    return shape[::-1] if _transposed(path, shape, orientation) else shape
-
-
 def load_features(path, orientation: str = AUTO_ORIENT) -> FeatureSequence:
     """Load a feature matrix as frames-by-dims.
 

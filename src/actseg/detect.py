@@ -25,13 +25,16 @@ MeanSide = Literal["below", "above"]
 
 @dataclass(frozen=True)
 class MethodProposals:
-    """Per-method boundary sets plus the raw frame-to-frame score series."""
+    """Per-method boundary sets, the raw frame-to-frame score series, and
+    the global k-means ids that detection clustered on (of the projected
+    features when dim_reduce applies)."""
 
     cosine_bounds: BoundarySet
     dtw_bounds: BoundarySet
     cluster_bounds: BoundarySet
     cosine_scores: np.ndarray  # (T-1,)
     dtw_scores: np.ndarray     # (T-1,)
+    clusters: np.ndarray       # (T,) int64
     resolved_b_intrv: int | None = None
 
 
@@ -70,11 +73,9 @@ def mean_filter(scores: np.ndarray, keep: MeanSide) -> BoundarySet:
     return BoundarySet(tuple(int(i) + 1 for i in hits))
 
 
-def cluster_bounds(feat: FeatureSequence, num_classes: int, seed: int) -> BoundarySet:
+def cluster_bounds(clusters: np.ndarray, num_classes: int) -> BoundarySet:
     """Boundaries where the global k-means frame label changes."""
-    if feat.frames < num_classes:
-        raise ValueError(f"too few frames: {feat.frames} < num_classes {num_classes}")
-    return boundaries_of(LabelSequence(kmeans(feat.values, num_classes, seed), num_classes))
+    return boundaries_of(LabelSequence(clusters, num_classes))
 
 
 def remove_close(bounds: BoundarySet, b_intrv: int) -> BoundarySet:
@@ -143,7 +144,8 @@ def detect(feat: FeatureSequence, cfg: DetectConfig,
         values = _project(values, cfg.dim_reduce, seed)
     work = FeatureSequence(values) if values is not feat.values else feat
 
-    clu_raw = cluster_bounds(work, cfg.num_classes, seed)
+    clusters = kmeans(work.values, cfg.num_classes, seed)
+    clu_raw = cluster_bounds(clusters, cfg.num_classes)
     cos_scores = frame_scores(work, Metric.COSINE)
     cos_raw = mean_filter(cos_scores, "below")
     dtw_scores = frame_scores(work, Metric.DTW)
@@ -151,7 +153,7 @@ def detect(feat: FeatureSequence, cfg: DetectConfig,
 
     if cfg.b_intrv == AUTO:
         b_intrv = auto_b_intrv(MethodProposals(cos_raw, dtw_raw, clu_raw,
-                                               cos_scores, dtw_scores))
+                                               cos_scores, dtw_scores, clusters))
     else:
         b_intrv = int(cfg.b_intrv)
 
@@ -159,22 +161,32 @@ def detect(feat: FeatureSequence, cfg: DetectConfig,
     cos = remove_close(cos_raw, b_intrv)
     dt = remove_close(dtw_raw, b_intrv)
     final = merge_mean((cos, dt, clu), b_intrv)
-    return final, MethodProposals(cos, dt, clu, cos_scores, dtw_scores, b_intrv)
+    return final, MethodProposals(cos, dt, clu, cos_scores, dtw_scores, clusters, b_intrv)
+
+
+def majority_labels(clusters: np.ndarray, bounds: BoundarySet,
+                    num_classes: int) -> LabelSequence:
+    """Label each detected segment with its most frequent cluster id.
+
+    Gives detection output a frame-wise form that class-based metrics can
+    score after optimal label matching. Adjacent segments may share an id;
+    a tie goes to the lowest id. Every boundary must lie in [1, T - 1].
+    """
+    total = len(clusters)
+    if bounds and bounds.indices[-1] >= total:
+        raise ValueError(f"boundary {bounds.indices[-1]} outside [1, {total - 1}]")
+    edges = [0, *bounds.indices, total]
+    out = np.empty(total, dtype=np.int64)
+    for start, end in zip(edges[:-1], edges[1:]):
+        out[start:end] = np.bincount(clusters[start:end]).argmax()
+    return LabelSequence(out, num_classes)
 
 
 def segment_labels(feat: FeatureSequence, bounds: BoundarySet, num_classes: int,
                    seed: int) -> LabelSequence:
-    """Label each detected segment with its majority global cluster id.
+    """majority_labels over a fresh global k-means of `feat`.
 
-    Gives detection output a frame-wise form that class-based metrics can
-    score after optimal label matching. Adjacent segments may share an id.
-    Every boundary must lie in [1, T - 1].
+    `detect` already returns the ids it clustered on as
+    `MethodProposals.clusters`; label from those instead of clustering again.
     """
-    if bounds and bounds.indices[-1] >= feat.frames:
-        raise ValueError(f"boundary {bounds.indices[-1]} outside [1, {feat.frames - 1}]")
-    clusters = kmeans(feat.values, num_classes, seed)
-    edges = [0, *bounds.indices, feat.frames]
-    out = np.empty(feat.frames, dtype=np.int64)
-    for start, end in zip(edges[:-1], edges[1:]):
-        out[start:end] = np.bincount(clusters[start:end]).argmax()
-    return LabelSequence(out, num_classes)
+    return majority_labels(kmeans(feat.values, num_classes, seed), bounds, num_classes)

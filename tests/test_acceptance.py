@@ -21,7 +21,7 @@ from actseg.core import (BoundarySet, CorrectionConfig, DetectConfig,
                          FeatureSequence, LabelSequence, boundaries_of,
                          from_boundaries, run_classes, to_timeline)
 from actseg.correction import correct_all
-from actseg.detect import detect, segment_labels
+from actseg.detect import detect, majority_labels
 from actseg.metrics import (EvalOptions, boundary_match_counts, edit_score,
                             evaluate_batch, f1_at, hungarian_label_match,
                             segment_match_counts, _iou)
@@ -423,8 +423,8 @@ def _dataset_f1(root: Path, dataset: str, b_intrv: int, seed: int = 0) -> float:
         total = min(feat.frames, len(gt))  # releases are off by a frame sometimes
         feat = FeatureSequence(feat.values[:total])
         gt = LabelSequence(gt.labels[:total], gt.class_count)
-        bounds, _ = detect(feat, cfg, seed=seed)
-        pred = segment_labels(feat, bounds, cfg.num_classes, seed=seed)
+        bounds, props = detect(feat, cfg, seed=seed)
+        pred = majority_labels(props.clusters, bounds, cfg.num_classes)
         pairs.append((hungarian_label_match(pred, gt), gt))
     return evaluate_batch(pairs, EvalOptions()).f1[0.10]
 

@@ -1,3 +1,4 @@
+import importlib
 import logging
 import os
 import shlex
@@ -434,6 +435,21 @@ def test_jobs_below_one_exit_2(synth_dir, tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+def test_jobs_without_fork_exit_2(synth_dir, tmp_path, capsys, monkeypatch):
+    import multiprocessing
+
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    out = tmp_path / "out"
+    assert main(["smooth", str(synth_dir / "predictions"), "--s-win", "4", "--jobs", "2",
+                 "--mapping", str(synth_dir / "mapping.txt"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: --jobs 2 needs the 'fork' start method" in err and "--jobs 1" in err
+    assert not out.exists()
+
+
 def _vote_seed(tmp_path):
     for name in ("a.txt", "b.txt"):
         (tmp_path / name).write_text("0\n1\n")
@@ -671,7 +687,8 @@ def test_smooth_auto_logs_in_input_order(synth_dir, tmp_path, caplog, monkeypatc
 
 def test_detect_warns_before_full_d_dtw(tmp_path, caplog, monkeypatch):
     none = BoundarySet()
-    proposals = MethodProposals(none, none, none, np.zeros(0), np.zeros(0), 10)
+    proposals = MethodProposals(none, none, none, np.zeros(0), np.zeros(0),
+                                np.zeros(0, dtype=np.int64), 10)
     monkeypatch.setattr(cli, "detect", lambda feat, cfg, seed: (BoundarySet((1,)), proposals))
     feats = tmp_path / "feats"
     feats.mkdir()
@@ -681,13 +698,43 @@ def test_detect_warns_before_full_d_dtw(tmp_path, caplog, monkeypatch):
     def warnings(*flags):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="actseg"):
-            assert main(["detect", str(feats), "--num-classes", "2",
+            assert main(["detect", str(feats), "--num-classes", "2", "--jobs", "1",
                          "--out-bounds", str(tmp_path / "bounds"), *flags]) == 0
         return [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
 
     assert warnings() == ["t61: full-D DTW on T=61 frames x D=4096 dims is 1.0e+09 "
                           "cost cells; consider --dim-reduce 64"]
     assert warnings("--dim-reduce", "64") == []
+
+
+@pytest.mark.parametrize("flags", [[], ["--dim-reduce", "2"]], ids=["full_d", "dim_reduce"])
+def test_detect_reads_each_header_once(tmp_path, recwarn, flags):
+    path = tmp_path / "py2.npy"
+    dataio.write_array(path, np.arange(120.0).reshape(30, 4))
+    path.write_bytes(path.read_bytes().replace(b"(30, 4), }", b"(30L, 4L)}"))  # same length
+    assert main(["detect", str(path), "--num-classes", "2",
+                 "--out-bounds", str(tmp_path / "bounds.txt"), *flags]) == 0
+    assert len([w for w in recwarn if "Python 2" in str(w.message)]) == 1
+
+
+def test_detect_clusters_each_video_once(synth_dir, tmp_path, monkeypatch):
+    detect_module = importlib.import_module("actseg.detect")
+    kmeans = detect_module.kmeans
+    calls = []
+
+    def counted(points, k, seed):
+        calls.append(np.shape(points))
+        return kmeans(points, k, seed)
+
+    monkeypatch.setattr(detect_module, "kmeans", counted)
+    assert main(["detect", str(synth_dir / "features"), "--num-classes", "4",
+                 "--dim-reduce", "4", "--b-intrv", "20", "--jobs", "1",
+                 "--out-bounds", str(tmp_path / "bounds"),
+                 "--out-labels", str(tmp_path / "labels")]) == 0
+    # One clustering per video, on the projected 4-D features.
+    frames = [dataio.load_features(p).frames
+              for p in sorted((synth_dir / "features").glob("*.npy"))]
+    assert calls == [(t, 4) for t in frames]
 
 
 def test_readme_quickstart_runs(tmp_path, monkeypatch):

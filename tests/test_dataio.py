@@ -227,7 +227,6 @@ def test_load_features_equals_numpy(tmp_path_factory, case):
     got = dataio.load_features(path, orientation).values
     assert got.dtype == np.float64 and got.flags.c_contiguous
     assert np.array_equal(got, want)
-    assert dataio.feature_shape(path, orientation) == got.shape
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actseg.core import AUTO, BoundarySet, DetectConfig, FeatureSequence
 from actseg.detect import (MethodProposals, auto_b_intrv, cluster_bounds,
-                           detect, frame_scores, mean_filter, merge_mean,
-                           remove_close, segment_labels)
-from actseg.similarity import Metric
+                           detect, frame_scores, majority_labels, mean_filter,
+                           merge_mean, remove_close, segment_labels)
+from actseg.similarity import Metric, kmeans
 from actseg.synth import SynthSpec, generate
 
 
@@ -64,22 +66,22 @@ def test_mean_filter_above():
 
 def test_cluster_bounds_two_blobs():
     feat, bounds = step_features([15, 17], seed=3)
-    assert cluster_bounds(feat, 2, seed=0).indices == bounds.indices
+    assert cluster_bounds(kmeans(feat.values, 2, seed=0), 2).indices == bounds.indices
 
 
 def test_cluster_bounds_constant_no_crash():
-    got = cluster_bounds(FeatureSequence(np.ones((20, 3))), 2, seed=0)
+    got = cluster_bounds(kmeans(np.ones((20, 3)), 2, seed=0), 2)
     assert isinstance(got, BoundarySet)
 
 
 def test_cluster_bounds_three_blobs():
     feat, bounds = step_features([15, 17, 20], seed=4)
-    assert cluster_bounds(feat, 3, seed=0).indices == bounds.indices
+    assert cluster_bounds(kmeans(feat.values, 3, seed=0), 3).indices == bounds.indices
 
 
-def test_cluster_bounds_too_few_frames():
-    with pytest.raises(ValueError, match="too few frames"):
-        cluster_bounds(FeatureSequence(np.ones((2, 2))), 3, seed=0)
+def test_detect_too_few_frames():
+    with pytest.raises(ValueError, match="too few frames .* num_classes 3"):
+        detect(FeatureSequence(np.ones((2, 2))), DetectConfig(num_classes=3, b_intrv=10))
 
 
 # ------------------------------------------------------------ remove_close
@@ -139,7 +141,7 @@ def test_merge_mean_gap_property():
 def make_proposals(cos, dtw, clu, total=400):
     zeros = np.zeros(total - 1)
     return MethodProposals(BoundarySet(cos), BoundarySet(dtw), BoundarySet(clu),
-                           zeros, zeros)
+                           zeros, zeros, np.zeros(total, dtype=np.int64))
 
 
 def test_auto_b_intrv_max_over_methods():
@@ -192,6 +194,17 @@ def test_detect_dim_reduce_runs():
     assert len(got) >= 1
 
 
+@pytest.mark.parametrize("dim_reduce", [None, 8])
+def test_detect_returns_its_clusters(dim_reduce):
+    feat, _ = step_features([40, 50, 60], dim=32, sigma=0.05, seed=11)
+    _, props = detect(feat, DetectConfig(num_classes=3, b_intrv=20, dim_reduce=dim_reduce),
+                      seed=2)
+    assert props.clusters.shape == (feat.frames,) and props.clusters.dtype == np.int64
+    assert cluster_bounds(props.clusters, 3).indices[0] == 40
+    if dim_reduce is None:
+        assert np.array_equal(props.clusters, kmeans(feat.values, 3, seed=2))
+
+
 def test_segment_labels_cover_segments():
     feat, bounds = step_features([30, 30, 30], seed=10)
     labels = segment_labels(feat, bounds, 3, seed=0)
@@ -204,6 +217,28 @@ def test_segment_labels_cover_segments():
 
 def test_segment_labels_rejects_boundary_past_last_frame():
     feat, _ = step_features([15, 15], seed=10)
+    clusters = kmeans(feat.values, 2, seed=0)
     for bounds in (BoundarySet((10, 30)), BoundarySet((31,))):
-        with pytest.raises(ValueError, match=rf"boundary {bounds.indices[-1]} outside \[1, 29\]"):
+        message = rf"boundary {bounds.indices[-1]} outside \[1, 29\]"
+        with pytest.raises(ValueError, match=message):
             segment_labels(feat, bounds, 2, seed=0)
+        with pytest.raises(ValueError, match=message):
+            majority_labels(clusters, bounds, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_majority_labels_take_each_segments_most_frequent_id(data):
+    clusters = np.array(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=60)),
+                        dtype=np.int64)
+    total = len(clusters)
+    cuts = data.draw(st.sets(st.integers(1, total - 1)) if total > 1 else st.just(set()))
+    bounds = BoundarySet(tuple(sorted(cuts)))
+    got = majority_labels(clusters, bounds, 4)
+    assert got.class_count == 4
+    edges = [0, *bounds.indices, total]
+    for start, end in zip(edges[:-1], edges[1:]):
+        segment = got.labels[start:end]
+        ids, counts = np.unique(clusters[start:end], return_counts=True)
+        # np.unique sorts the ids, so the first id with the top count is the lowest.
+        assert np.all(segment == ids[np.argmax(counts)])

@@ -15,9 +15,6 @@ import numpy as np
 
 AUTO = "auto"
 
-# Frames and dims of one tile of FeatureSequence's copy.
-_COPY_TILE = 256
-
 
 def check_int_or_auto(name: str, value: int | str) -> None:
     """Raise ValueError unless `value` is AUTO or an int >= 1."""
@@ -37,31 +34,26 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class FeatureSequence:
     """T x D matrix of per-frame feature activations; finite values only.
 
-    Holds its own read-only float64 C-order copy, so the caller's array
-    stays writeable and later writes to it do not reach the sequence.
+    Holds float32 or float64 values in their own layout, so a D x T load
+    stays a transposed view; other dtypes become float64. Read-only: a
+    writeable array is copied first, so the caller's later writes do not
+    reach the sequence. Kernels widen the frames they read to float64.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        src = np.asarray(self.values)
-        if src.ndim != 2 or src.shape[0] < 1 or src.shape[1] < 1:
-            raise ValueError(f"features must be a T x D matrix with T, D >= 1, got shape {src.shape}")
-        arr = np.empty(src.shape, dtype=np.float64)
-        # Copy in strips of frames, each in square tiles, and check each
-        # strip as soon as it is written, with no T x D mask. A tile of a
-        # transposed D x T load (the public dumps' layout) reads from few
-        # enough memory pages that the strided copy is not bound by TLB
-        # misses, as one whole-array copy is.
-        n = _COPY_TILE
-        for t in range(0, src.shape[0], n):
-            strip = arr[t:t + n]
-            for d in range(0, src.shape[1], n):
-                strip[:, d:d + n] = src[t:t + n, d:d + n]
-            finite = np.isfinite(strip)
-            if not finite.all():
-                f, d = map(int, np.argwhere(~finite)[0])
-                raise ValueError(f"non-finite feature value at frame {t + f}, dim {d}")
+        arr = np.asarray(self.values)
+        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise ValueError(f"features must be a T x D matrix with T, D >= 1, got shape {arr.shape}")
+        if arr.dtype not in (np.float32, np.float64):
+            arr = arr.astype(np.float64)
+        elif arr.flags.writeable:
+            arr = arr.copy(order="K")
+        # min and max are NaN or infinite when any value is, and need no T x D mask.
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            f, d = map(int, np.argwhere(~np.isfinite(arr))[0])
+            raise ValueError(f"non-finite feature value at frame {f}, dim {d}")
         object.__setattr__(self, "values", _freeze(arr))
 
     def __reduce__(self):

@@ -117,29 +117,29 @@ def _clamped_window(idx: tuple[int, ...], pos: int, total: int,
     return WindowState(start, end)
 
 
-def _refine_window(values: np.ndarray, start: int, end: int, b_seg: int, seed: int):
-    """Shrink [start, end) around the likeliest transition sub-segment.
+def _refine_window(values: np.ndarray, b_seg: int, seed: int):
+    """Shrink the window `values` around the likeliest transition sub-segment.
 
     The window is a whole number of b_seg wide, and it stays so: every step
     moves its ends by whole sub-segments. Stops when the window cannot be
     narrowed further (width <= 2 * b_seg with no progress) or after
     _MAX_ITERATIONS. Nominations index the first sub-segment of the new
-    action, matching transition_index. Returns the final window, the
-    per-step proposals, and the last step's k=2 labels when that step left
-    the window where it was (else None).
+    action, matching transition_index. Returns the final window [start, end)
+    in frames of `values`, the per-step proposals, and the last step's k=2
+    labels when that step left the window where it was (else None).
 
     Every step's window lies on the first window's sub-segment grid, and
     block_similarity scores each consecutive pair on its own, bit for bit,
     so the pairs are scored once here and each step reads a slice.
     """
-    grid = values[start:end].reshape(-1, b_seg, values.shape[1])
+    grid = values.reshape(-1, b_seg, values.shape[1])
     cosine = block_similarity(grid, Metric.COSINE)
     dtw = block_similarity(grid, Metric.DTW)
-    origin = start
+    start, end = 0, values.shape[0]
     history: list[IterationProposals] = []
     while end - start > b_seg and len(history) < _MAX_ITERATIONS:
         m = (end - start) // b_seg
-        first = (start - origin) // b_seg
+        first = start // b_seg
         p_cos = int(np.argmin(cosine[first:first + m - 1])) + 1
         p_dtw = int(np.argmax(dtw[first:first + m - 1])) + 1
         # Each sub-segment's majority cluster; the k=2 ids are 0/1 and a tie goes to 0.
@@ -186,14 +186,15 @@ def correct_all(feat: FeatureSequence, labels: LabelSequence,
             records.append(BoundaryRecord(boundary, boundary, ()))
             continue
         ws, we = window.start, window.end
-        start, end, history, clusters = _refine_window(feat.values, ws, we, b_seg, seed)
+        values = np.ascontiguousarray(feat.values[ws:we], dtype=np.float64)
+        start, end, history, clusters = _refine_window(values, b_seg, seed)
         corrected = boundary
         if end - start >= 2:
             if clusters is None:
-                clusters = kmeans(feat.values[start:end], 2, seed)
+                clusters = kmeans(values[start:end], 2, seed)
             idx = transition_index(clusters)
             if idx is not None:
-                corrected = start + idx
+                corrected = ws + start + idx
         records.append(BoundaryRecord(boundary, corrected, history, window))
         out[ws:min(corrected, we)] = original[boundary - 1]
         out[max(corrected, ws):we] = original[boundary]

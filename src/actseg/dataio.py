@@ -158,14 +158,15 @@ def _transposed(path: Path, shape: tuple[int, ...], orientation: str) -> bool:
 
 
 def load_features(path, orientation: str = AUTO_ORIENT) -> FeatureSequence:
-    """Load a feature matrix as frames-by-dims.
+    """Load a feature matrix as frames-by-dims, in the file's dtype.
 
-    D_BY_T inputs are transposed on load; AUTO treats the array as
-    D_BY_T when its first axis matches a known feature width (2048 or
-    1024) and the second does not.
+    D_BY_T inputs come back as a transposed view of the file's payload;
+    AUTO treats the array as D_BY_T when its first axis matches a known
+    feature width (2048 or 1024) and the second does not.
     """
     path = Path(path)
     arr = read_array(path)
+    arr.setflags(write=False)  # no other reference: FeatureSequence holds it uncopied
     if _transposed(path, arr.shape, orientation):
         arr = arr.T
     try:

@@ -139,10 +139,12 @@ def detect(feat: FeatureSequence, cfg: DetectConfig,
     if feat.frames < need:
         raise ValueError(f"too few frames ({feat.frames}) for detection: need at least "
                          f"{need} for num_classes {cfg.num_classes}")
-    values = feat.values
+    # Every frame is read, so widen them all once, before the projection.
+    values = np.ascontiguousarray(feat.values, dtype=np.float64)
     if cfg.dim_reduce is not None and cfg.dim_reduce < feat.dim:
         values = _project(values, cfg.dim_reduce, seed)
-    work = FeatureSequence(values) if values is not feat.values else feat
+    values.setflags(write=False)  # so FeatureSequence holds it uncopied
+    work = FeatureSequence(values)
 
     clusters = kmeans(work.values, cfg.num_classes, seed)
     clu_raw = cluster_bounds(clusters, cfg.num_classes)

@@ -246,7 +246,7 @@ def block_similarity(blocks, metric: Metric) -> np.ndarray:
     (or a few, for small chunks) per step, each step holding at most
     _BATCH_BYTES of float64 difference cells unless one pair's row needs more.
     """
-    blocks = np.asarray(blocks, dtype=np.float64)
+    blocks = np.ascontiguousarray(blocks, dtype=np.float64)
     if blocks.ndim != 3 or blocks.shape[0] < 2 or 0 in blocks.shape:
         raise ValueError("block_similarity needs an (m, s, d) stack of equal blocks "
                          f"with m >= 2 and s, d >= 1, got shape {blocks.shape}")

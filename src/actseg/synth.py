@@ -83,6 +83,7 @@ def generate(spec: SynthSpec) -> tuple[FeatureSequence, LabelSequence, BoundaryS
     if spec.noise_sigma > 0:
         values = values + rng.normal(0.0, spec.noise_sigma, size=values.shape)
     bounds = BoundarySet(tuple(int(x) for x in np.cumsum(lengths)[:-1]))
+    values.setflags(write=False)  # no other reference: FeatureSequence holds it uncopied
     return FeatureSequence(values), LabelSequence(labels, count), bounds
 
 

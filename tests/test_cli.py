@@ -702,8 +702,10 @@ def test_detect_warns_before_full_d_dtw(tmp_path, caplog, monkeypatch):
                          "--out-bounds", str(tmp_path / "bounds"), *flags]) == 0
         return [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
 
-    assert warnings() == ["t61: full-D DTW on T=61 frames x D=4096 dims is 1.0e+09 "
-                          "cost cells; consider --dim-reduce 64"]
+    full_d = ["t61: full-D DTW on T=61 frames x D=4096 dims is 1.0e+09 "
+              "cost cells; consider --dim-reduce 64"]
+    assert warnings() == full_d
+    assert warnings("--dim-reduce", "4096") == full_d  # detect projects only below D
     assert warnings("--dim-reduce", "64") == []
 
 

@@ -3,12 +3,14 @@ from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actseg.core import (BoundarySet, CorrectionConfig, DetectConfig,
+from actseg.core import (AUTO, BoundarySet, CorrectionConfig, DetectConfig,
                          FeatureSequence, LabelSequence, boundaries_of,
                          from_boundaries, run_classes, to_timeline)
+from actseg.correction import correct_all
+from actseg.detect import detect
 
 A, B, C = 0, 1, 2
 
@@ -104,9 +106,44 @@ def test_feature_sequence_copies_caller_array():
                    np.asfortranarray(np.zeros((2, 3)))):
         feat = FeatureSequence(caller)
         assert caller.flags.writeable
-        assert not feat.values.flags.writeable and feat.values.flags.c_contiguous
+        assert not feat.values.flags.writeable
         caller[0, 0] = 5.0
         assert feat.values[0, 0] == 0.0
+
+
+@st.composite
+def held_features(draw):
+    """Labels of 2-5 segments, and read-only float32 or float64 features
+    in C order or as a transposed view, as a D x T load holds them."""
+    lengths = draw(st.lists(st.integers(9, 30), min_size=2, max_size=5))
+    labels = LabelSequence(np.repeat(np.arange(len(lengths)), lengths), len(lengths))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    arr = rng.normal(size=(len(labels), draw(st.integers(2, 6))))
+    arr = arr.astype(draw(st.sampled_from([np.float32, np.float64])))
+    if draw(st.booleans()):
+        arr = np.ascontiguousarray(arr.T).T
+    arr.setflags(write=False)
+    return labels, arr
+
+
+def _comparable(proposals):
+    return [v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(proposals).values()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(held_features(), st.data())
+def test_kernels_ignore_the_held_dtype_and_layout(case, data):
+    labels, arr = case
+    held = FeatureSequence(arr)
+    assert held.values is arr
+    wide = FeatureSequence(np.ascontiguousarray(arr, np.float64))
+    for cfg in (CorrectionConfig(8, 2), CorrectionConfig(AUTO, AUTO)):
+        assert correct_all(held, labels, cfg, seed=3) == correct_all(wide, labels, cfg, seed=3)
+    num_classes = data.draw(st.integers(2, 4), label="num_classes")
+    for dim_reduce in (None, data.draw(st.integers(1, arr.shape[1] - 1), label="dim_reduce")):
+        cfg = DetectConfig(num_classes, dim_reduce=dim_reduce)
+        (got, got_props), (want, want_props) = detect(held, cfg, seed=3), detect(wide, cfg, seed=3)
+        assert got == want and _comparable(got_props) == _comparable(want_props)
 
 
 def test_values_frozen_after_construction():

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,19 @@ def test_load_leaves_the_callers_array_writeable(tmp_path):
     assert feat.values[0, 0] == 0.0 and feat.values[299, 1] == 599.0
 
 
+def test_load_features_keeps_the_payload_it_reads(tmp_path):
+    path = tmp_path / "d_by_t.npy"
+    dataio.write_array(path, np.ones((2048, 300)), "<f4")
+    tracemalloc.start()
+    try:
+        feat = dataio.load_features(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert feat.values.dtype == np.float32 and feat.values.shape == (300, 2048)
+    assert peak < 1.2 * 2048 * 300 * 4
+
+
 @st.composite
 def _feature_files(draw):
     """(on-disk array, orientation): finite <f4/<f8 values, T x D or D x T."""
@@ -221,11 +235,11 @@ def test_load_features_equals_numpy(tmp_path_factory, case):
     arr, orientation = case
     path = tmp_path_factory.mktemp("load") / "f.npy"
     np.save(path, arr)
-    want = np.load(path).astype(np.float64)
+    want = np.load(path)
     if orientation == dataio.D_BY_T:
         want = want.T
     got = dataio.load_features(path, orientation).values
-    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 
 

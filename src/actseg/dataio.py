@@ -34,12 +34,8 @@ T_BY_D = "t_by_d"
 AUTO_ORIENT = "auto"
 
 
-class FormatError(ValueError):
-    """The container itself is malformed or unsupported."""
-
-
 class DataError(ValueError):
-    """The container parsed but its payload is unusable."""
+    """An input file is malformed, unsupported or unusable."""
 
 
 def _atomic_write(path: Path, write) -> None:
@@ -84,31 +80,31 @@ def _read_header(path: Path, handle) -> tuple[np.dtype, tuple[int, ...], int]:
     offset. Leaves the handle at the payload."""
     raw = handle.read(10)
     if len(raw) < 8 or raw[:6] != MAGIC:
-        raise FormatError(f"{path}: not an NPY file (bad magic at byte 0)")
+        raise DataError(f"{path}: not an NPY file (bad magic at byte 0)")
     major, minor = raw[6], raw[7]
     if (major, minor) != (1, 0):
-        raise FormatError(f"{path}: unsupported NPY version {major}.{minor} at byte 6")
+        raise DataError(f"{path}: unsupported NPY version {major}.{minor} at byte 6")
     header_len = int.from_bytes(raw[8:], "little")
     if header_len > _MAX_HEADER_BYTES:  # the parser can exhaust memory on a crafted one
-        raise FormatError(f"{path}: NPY header length {header_len} at byte 8 exceeds "
-                          f"{_MAX_HEADER_BYTES} bytes")
+        raise DataError(f"{path}: NPY header length {header_len} at byte 8 exceeds "
+                        f"{_MAX_HEADER_BYTES} bytes")
     handle.seek(8)
     # On a crafted header NumPy's parser raises more than ValueError: TypeError,
     # tokenize.TokenError, RecursionError, the Python parser's MemoryError, ...
     try:
         shape, fortran, dtype = npy_format.read_array_header_1_0(handle)
     except Exception as exc:
-        raise FormatError(f"{path}: bad NPY header at byte 8 "
-                          f"({str(exc) or type(exc).__name__})") from None
+        raise DataError(f"{path}: bad NPY header at byte 8 "
+                        f"({str(exc) or type(exc).__name__})") from None
     if any(n < 0 for n in shape):
-        raise FormatError(f"{path}: negative dimension in NPY header at byte 10, "
-                          f"shape {shape}")
+        raise DataError(f"{path}: negative dimension in NPY header at byte 10, "
+                        f"shape {shape}")
     if dtype.str not in SUPPORTED_DESCRS:
-        raise FormatError(f"{path}: unsupported dtype {dtype.str!r} "
-                          f"(supported: {', '.join(SUPPORTED_DESCRS)})")
+        raise DataError(f"{path}: unsupported dtype {dtype.str!r} "
+                        f"(supported: {', '.join(SUPPORTED_DESCRS)})")
     if fortran:
-        raise FormatError(f"{path}: Fortran-order arrays are not supported; "
-                          "re-save the array in C order")
+        raise DataError(f"{path}: Fortran-order arrays are not supported; "
+                        "re-save the array in C order")
     return dtype, shape, 10 + header_len
 
 
@@ -128,16 +124,16 @@ def read_array(path) -> np.ndarray:
             arr = np.empty(shape, dtype)
             available = handle.readinto(arr.reshape(-1).view(np.uint8))
     if available < expected:
-        raise FormatError(f"{path}: truncated data at byte {header_end} "
-                          f"(expected {expected} bytes, got {available})")
+        raise DataError(f"{path}: truncated data at byte {header_end} "
+                        f"(expected {expected} bytes, got {available})")
     return arr
 
 
 def write_array(path, array: np.ndarray, descr: str = "<f8") -> None:
     """Write an NPY v1.0 array with the given on-disk dtype, in C order."""
     if descr not in SUPPORTED_DESCRS:
-        raise FormatError(f"unsupported dtype {descr!r} "
-                          f"(supported: {', '.join(SUPPORTED_DESCRS)})")
+        raise DataError(f"unsupported dtype {descr!r} "
+                        f"(supported: {', '.join(SUPPORTED_DESCRS)})")
     # NumPy writes an F-contiguous input (a transpose) in Fortran order,
     # which read_array refuses.
     arr = np.ascontiguousarray(array, dtype=descr)
@@ -148,7 +144,7 @@ def write_array(path, array: np.ndarray, descr: str = "<f8") -> None:
 def _transposed(path: Path, shape: tuple[int, ...], orientation: str) -> bool:
     """Whether a stored array of `shape` is dims-by-frames under `orientation`."""
     if len(shape) != 2:
-        raise FormatError(f"{path}: features must be 2-D, got shape {shape}")
+        raise DataError(f"{path}: features must be 2-D, got shape {shape}")
     if orientation not in (D_BY_T, T_BY_D, AUTO_ORIENT):
         raise ValueError(f"orientation must be one of {D_BY_T!r}, {T_BY_D!r}, "
                          f"{AUTO_ORIENT!r}, got {orientation!r}")
@@ -226,21 +222,21 @@ def load_mapping(path) -> ClassMapping:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise FormatError(f"{path}:{lineno}: expected 'index name', got {line!r}")
+            raise DataError(f"{path}:{lineno}: expected 'index name', got {line!r}")
         try:
             idx = int(parts[0])
         except ValueError:
-            raise FormatError(f"{path}:{lineno}: bad class index {parts[0]!r}") from None
+            raise DataError(f"{path}:{lineno}: bad class index {parts[0]!r}") from None
         if idx in entries:
-            raise FormatError(f"{path}:{lineno}: duplicate class index {idx}")
+            raise DataError(f"{path}:{lineno}: duplicate class index {idx}")
         if parts[1] in entries.values():
-            raise FormatError(f"{path}:{lineno}: duplicate class name {parts[1]!r}")
+            raise DataError(f"{path}:{lineno}: duplicate class name {parts[1]!r}")
         entries[idx] = parts[1]
     if not entries:
-        raise FormatError(f"{path}: empty mapping file")
+        raise DataError(f"{path}: empty mapping file")
     if sorted(entries) != list(range(len(entries))):
-        raise FormatError(f"{path}: class ids must be contiguous from 0, "
-                          f"got {sorted(entries)}")
+        raise DataError(f"{path}: class ids must be contiguous from 0, "
+                        f"got {sorted(entries)}")
     return ClassMapping(tuple(entries[i] for i in range(len(entries))))
 
 
@@ -326,10 +322,10 @@ def load_report(path) -> dict[str, float]:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
         try:
             out[key.strip()] = float(value)
         except ValueError:
-            raise FormatError(f"{path}:{lineno}: expected a number after '=', "
-                              f"got {value.strip()!r}") from None
+            raise DataError(f"{path}:{lineno}: expected a number after '=', "
+                            f"got {value.strip()!r}") from None
     return out

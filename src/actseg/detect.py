@@ -35,7 +35,7 @@ class MethodProposals:
     cosine_scores: np.ndarray  # (T-1,)
     dtw_scores: np.ndarray     # (T-1,)
     clusters: np.ndarray       # (T,) int64
-    resolved_b_intrv: int | None = None
+    resolved_b_intrv: int
 
 
 def frame_scores(feat: FeatureSequence, metric: Metric) -> np.ndarray:
@@ -103,21 +103,21 @@ def merge_mean(sets: Iterable[BoundarySet], b_intrv: int) -> BoundarySet:
     return BoundarySet(tuple(int(round(float(np.mean(g)))) for g in groups))
 
 
-def auto_b_intrv(proposals: MethodProposals) -> int:
+def auto_b_intrv(sets: Iterable[BoundarySet], frames: int) -> int:
     """Minimum-gap threshold from the widest per-method boundary spacing.
 
-    Takes the maximum consecutive gap of every method that produced at
-    least two boundaries, then the maximum over methods, clamped to
-    [2, T/2]. Falls back to T/8 when no method qualifies.
+    Takes the maximum consecutive gap of every method's pre-pruning
+    boundary set with at least two boundaries, then the maximum over
+    methods, clamped to [2, T/2] for a video of T `frames`. Falls back to
+    T/8 when no method qualifies.
     """
-    total = int(proposals.cosine_scores.size) + 1
     gaps = []
-    for s in (proposals.cosine_bounds, proposals.dtw_bounds, proposals.cluster_bounds):
+    for s in sets:
         if len(s) >= 2:
             gaps.append(int(np.diff(np.asarray(s.indices)).max()))
     if not gaps:
-        return max(2, total // 8)
-    return min(max(max(gaps), 2), max(2, total // 2))
+        return max(2, frames // 8)
+    return min(max(max(gaps), 2), max(2, frames // 2))
 
 
 def _project(values: np.ndarray, target_dim: int, seed: int) -> np.ndarray:
@@ -154,8 +154,7 @@ def detect(feat: FeatureSequence, cfg: DetectConfig,
     dtw_raw = mean_filter(dtw_scores, "above")
 
     if cfg.b_intrv == AUTO:
-        b_intrv = auto_b_intrv(MethodProposals(cos_raw, dtw_raw, clu_raw,
-                                               cos_scores, dtw_scores, clusters))
+        b_intrv = auto_b_intrv((cos_raw, dtw_raw, clu_raw), feat.frames)
     else:
         b_intrv = int(cfg.b_intrv)
 

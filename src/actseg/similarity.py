@@ -4,8 +4,10 @@ Four primitives: the consecutive-block similarity kernel (cosine or
 dynamic time warping between each block and the next, which detection runs
 over frames and correction over sub-segments of a window), seeded k-means,
 the transition detector that locates the action change inside a binary
-cluster labelling, and `dtw` on one pair of sequences, the reference the
-batched kernel is tested against. All functions are pure and deterministic.
+cluster labelling, and `dtw` on one pair of sequences, which runs the same
+batched kernel. The kernel's independent references are `brute_force_dtw`
+in tests/test_similarity.py and criterion 1's oracle in
+tests/test_acceptance.py. All functions are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -16,14 +18,10 @@ from enum import Enum
 import numpy as np
 
 # Working-set budget of the blocked kernels, in bytes of float64 cells:
-# one step of block DTW (the differences of a grid row across a chunk of
+# one step of block DTW (the differences of one grid row across a chunk of
 # pairs) and one block of k-means' squared norms. Sized to stay in a core's
 # L2 cache. A DTW chunk holds 1024 frame pairs at D=64 and 32 at D=2048.
 _BATCH_BYTES = 512 << 10
-
-# From this many pairs per chunk on, a DTW scan along a grid row makes one
-# vector call per column instead of one ufunc.accumulate call.
-_WIDE_SCAN_PAIRS = 256
 
 # Lloyd iterations of k-means stop after _KMEANS_MAX_ITER steps, when the
 # labels repeat, or when the inertia changes by less than _KMEANS_TOL.
@@ -73,65 +71,59 @@ def _dtw_pairs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
     Row-wise DP over a chunk of pairs at a time, pairs on the last axis.
     The step costs |rows[i] - cols[j]| of grid row i are built on the fly,
-    several rows in one go when they fit the budget, and S is their running
-    sum along the row. Within a row the recurrence unrolls to a running
-    minimum over "enter column k from above, then move right", which
-    vectorises: D[i,j] = S[j] + cummin_k(min(prev[k], prev[k-1]) - S[k-1]).
+    one row per step, and S is their running sum along the row. Within a
+    row the recurrence unrolls to a running minimum over "enter column k
+    from above, then move right", which vectorises:
+    D[i,j] = S[j] + cummin_k(min(prev[k], prev[k-1]) - S[k-1]).
     Column 0 reduces to prev[0].
     """
     n, pairs, d = rows.shape
     m = cols.shape[0]
     chunk = min(pairs, _batch_rows(m * d))
-    step = min(n, _batch_rows(m * chunk * d))  # grid rows costed in one go
     out = np.empty(pairs)
-    cells = np.empty((step, m, chunk, d))
+    cells = np.empty((m, chunk, d))
     prev, entry = np.empty((2, m, chunk))
     for start in range(0, pairs, chunk):
         stop = min(start + chunk, pairs)
         # Every grid row reads all of the chunk's cols; at d == 1 a strided
         # read would touch a cache line per element, so copy them once.
         col = np.ascontiguousarray(cols[:, start:stop]) if d == 1 else cols[:, start:stop]
+        diff = cells[:, :stop - start]
         p, e = prev[:, :stop - start], entry[:, :stop - start]
-        for top in range(0, n, step):
-            diff = cells[:n - top, :, :stop - start]
+        for i in range(n):
             # cols - rows, not rows - cols: the squares are the same bits. A
             # copy and an in-place subtract measured about 20% faster than one
             # out-of-place subtract on correction blocks at d = 2048.
             np.copyto(diff, col)
-            np.subtract(diff, rows[top:top + step, None, start:stop], out=diff)
+            np.subtract(diff, rows[i, start:stop], out=diff)
             np.square(diff, out=diff)
             # Summing a length-1 axis changes no value but costs time.
-            cost = diff[..., 0] if d == 1 else np.add.reduce(diff, axis=3)
+            s = diff[..., 0] if d == 1 else np.add.reduce(diff, axis=2)
             # sqrt of the square, not abs: they differ where it underflows.
-            np.sqrt(cost, out=cost)
-            _scan(np.add, cost)
-            for i, s in enumerate(cost, start=top):
-                if i == 0:
-                    p[...] = s
-                    continue
-                e[0] = p[0]
-                np.minimum(p[1:], p[:-1], out=e[1:])
-                np.subtract(e[1:], s[:-1], out=e[1:])
-                _scan(np.minimum, e)
-                np.add(s, e, out=p)
+            np.sqrt(s, out=s)
+            _scan(np.add, s)
+            if i == 0:
+                p[...] = s
+                continue
+            e[0] = p[0]
+            np.minimum(p[1:], p[:-1], out=e[1:])
+            np.subtract(e[1:], s[:-1], out=e[1:])
+            _scan(np.minimum, e)
+            np.add(s, e, out=p)
         out[start:stop] = p[-1]
     return out
 
 
 def _scan(ufunc: np.ufunc, a: np.ndarray) -> None:
-    """In-place inclusive scan of `ufunc` along the grid columns, axis -2,
-    of an (..., m, pairs) array.
+    """In-place inclusive scan of `ufunc` down the grid columns, axis 0, of
+    an (m, pairs) array, one vector call per column.
 
-    ufunc.accumulate walks each pair's column with a stride of a whole
-    row, which is several times slower than one vector call per column
-    once a row holds a few hundred pairs. Both apply the same operation to
-    the same operands in the same order, so the results are identical.
+    ufunc.accumulate would apply the same operation to the same operands in
+    the same order, but it walks each pair's column with a stride of a
+    whole row, which is several times slower once a row holds a few
+    hundred pairs.
     """
-    if a.shape[-1] < _WIDE_SCAN_PAIRS:
-        ufunc.accumulate(a, axis=-2, out=a)
-        return
-    columns = list(np.moveaxis(a, -2, 0))
-    for left, column in zip(columns, columns[1:]):
+    for left, column in zip(a, a[1:]):
         ufunc(left, column, out=column)
 
 
@@ -243,8 +235,8 @@ def block_similarity(blocks, metric: Metric) -> np.ndarray:
     frames do not kill a whole video. DTW aligns the blocks' s d-vectors
     and equals dtw(blocks[j], blocks[j+1]) bit for bit: the pairs run
     through the same recurrence, a chunk of pairs at a time, one grid row
-    (or a few, for small chunks) per step, each step holding at most
-    _BATCH_BYTES of float64 difference cells unless one pair's row needs more.
+    per step, each step holding at most _BATCH_BYTES of float64 difference
+    cells unless one pair's row needs more.
     """
     blocks = np.ascontiguousarray(blocks, dtype=np.float64)
     if blocks.ndim != 3 or blocks.shape[0] < 2 or 0 in blocks.shape:

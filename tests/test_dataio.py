@@ -80,7 +80,7 @@ def test_orientation_paths_agree(tmp_path):
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.npy"
     path.write_bytes(b"NOTANPYFILE")
-    with pytest.raises(dataio.FormatError, match="bad magic at byte 0"):
+    with pytest.raises(dataio.DataError, match="bad magic at byte 0"):
         dataio.read_array(path)
 
 
@@ -90,7 +90,7 @@ def test_non_integer_dimension_rejected(tmp_path):
     path.write_bytes(path.read_bytes().replace(b"(2, 3)", b"(2.,3)"))  # same header length
     with pytest.raises(ValueError):
         np.load(path)
-    with pytest.raises(dataio.FormatError, match=f"^{path}: bad NPY header at byte 8 "):
+    with pytest.raises(dataio.DataError, match=f"^{path}: bad NPY header at byte 8 "):
         dataio.read_array(path)
 
 
@@ -104,7 +104,7 @@ def test_non_integer_dimension_rejected(tmp_path):
 def test_unparsable_header_rejected(tmp_path, header):
     path = tmp_path / "bad.npy"
     path.write_bytes(dataio.MAGIC + bytes([1, 0]) + len(header).to_bytes(2, "little") + header)
-    with pytest.raises(dataio.FormatError, match=f"^{path}: bad NPY header at byte 8 "):
+    with pytest.raises(dataio.DataError, match=f"^{path}: bad NPY header at byte 8 "):
         dataio.read_array(path)
 
 
@@ -121,7 +121,7 @@ def test_truncated_data(tmp_path):
     dataio.write_array(path, np.ones((4, 4)))  # 128-byte header, 128-byte payload
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])
-    with pytest.raises(dataio.FormatError) as info:
+    with pytest.raises(dataio.DataError) as info:
         dataio.read_array(path)
     assert str(info.value) == (f"{path}: truncated data at byte 128 "
                                "(expected 128 bytes, got 112)")
@@ -138,14 +138,14 @@ def test_file_cut_during_read_reports_bytes_read(tmp_path, monkeypatch):
             self.st_size = real_fstat(fd).st_size + 16
 
     monkeypatch.setattr(dataio.os, "fstat", Stat)
-    with pytest.raises(dataio.FormatError, match=r"at byte 128 \(expected 128 bytes, got 112\)"):
+    with pytest.raises(dataio.DataError, match=r"at byte 128 \(expected 128 bytes, got 112\)"):
         dataio.read_array(path)
 
 
 def test_fortran_order_rejected(tmp_path):
     path = tmp_path / "fortran.npy"
     np.save(path, np.asfortranarray(np.ones((3, 4))))
-    with pytest.raises(dataio.FormatError, match="Fortran-order"):
+    with pytest.raises(dataio.DataError, match="Fortran-order"):
         dataio.read_array(path)
 
 
@@ -153,14 +153,14 @@ def test_transposed_save_rejected_as_features(tmp_path):
     # np.save of a transposed T x D array writes a Fortran-order D x T file.
     path = tmp_path / "fortran.npy"
     np.save(path, np.ones((4, 3), dtype=np.float32).T)
-    with pytest.raises(dataio.FormatError, match=f"^{path}: Fortran-order"):
+    with pytest.raises(dataio.DataError, match=f"^{path}: Fortran-order"):
         dataio.load_features(path, dataio.D_BY_T)
 
 
 def test_unsupported_dtype_rejected(tmp_path):
     path = tmp_path / "ints.npy"
     np.save(path, np.arange(6).reshape(2, 3))  # int64
-    with pytest.raises(dataio.FormatError, match="unsupported dtype"):
+    with pytest.raises(dataio.DataError, match="unsupported dtype"):
         dataio.read_array(path)
 
 
@@ -251,7 +251,7 @@ def test_truncated_file_error_names_path(tmp_path_factory, case, data):
     np.save(path, arr)
     raw = path.read_bytes()
     path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")])
-    with pytest.raises(dataio.FormatError) as info:
+    with pytest.raises(dataio.DataError) as info:
         dataio.load_features(path, orientation)
     assert str(info.value).startswith(f"{path}: ")
 
@@ -342,7 +342,7 @@ def test_mapping_and_labels_round_trip(tmp_path_factory, mapping, data):
 def test_mapping_requires_contiguous_ids(tmp_path):
     path = tmp_path / "mapping.txt"
     path.write_text("0 a\n2 b\n")
-    with pytest.raises(dataio.FormatError, match="contiguous"):
+    with pytest.raises(dataio.DataError, match="contiguous"):
         dataio.load_mapping(path)
 
 

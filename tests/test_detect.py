@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actseg.core import AUTO, BoundarySet, DetectConfig, FeatureSequence
-from actseg.detect import (MethodProposals, auto_b_intrv, cluster_bounds,
-                           detect, frame_scores, majority_labels, mean_filter,
-                           merge_mean, remove_close, segment_labels)
+from actseg.detect import (auto_b_intrv, cluster_bounds, detect, frame_scores,
+                           majority_labels, mean_filter, merge_mean, remove_close,
+                           segment_labels)
 from actseg.similarity import Metric, kmeans
 from actseg.synth import SynthSpec, generate
 
@@ -138,30 +138,24 @@ def test_merge_mean_gap_property():
 
 # ------------------------------------------------------------ auto_b_intrv
 
-def make_proposals(cos, dtw, clu, total=400):
-    zeros = np.zeros(total - 1)
-    return MethodProposals(BoundarySet(cos), BoundarySet(dtw), BoundarySet(clu),
-                           zeros, zeros, np.zeros(total, dtype=np.int64))
-
-
 def test_auto_b_intrv_max_over_methods():
-    props = make_proposals((10, 50), (15, 70), (5, 35))  # gaps 40, 55, 30
-    assert auto_b_intrv(props) == 55
+    sets = (BoundarySet((10, 50)), BoundarySet((15, 70)), BoundarySet((5, 35)))
+    assert auto_b_intrv(sets, 400) == 55  # gaps 40, 55, 30
 
 
 def test_auto_b_intrv_single_usable_method():
-    props = make_proposals((10, 40), (7,), ())
-    assert auto_b_intrv(props) == 30
+    sets = (BoundarySet((10, 40)), BoundarySet((7,)), BoundarySet())
+    assert auto_b_intrv(sets, 400) == 30
 
 
 def test_auto_b_intrv_fallback():
-    props = make_proposals((9,), (), (), total=400)
-    assert auto_b_intrv(props) == 50  # 400 // 8
+    sets = (BoundarySet((9,)), BoundarySet(), BoundarySet())
+    assert auto_b_intrv(sets, 400) == 50  # 400 // 8
 
 
 def test_auto_b_intrv_clamped_to_half_length():
-    props = make_proposals((10, 390), (), (), total=400)
-    assert auto_b_intrv(props) == 200
+    sets = (BoundarySet((10, 390)), BoundarySet(), BoundarySet())
+    assert auto_b_intrv(sets, 400) == 200
 
 
 # ------------------------------------------------------------------ detect

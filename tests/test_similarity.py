@@ -12,9 +12,9 @@ from hypothesis.extra.numpy import arrays
 from actseg import similarity
 from actseg.core import FeatureSequence
 from actseg.detect import frame_scores
-from actseg.similarity import (_KMEANS_MAX_ITER, _KMEANS_TOL, _WIDE_SCAN_PAIRS, Metric,
-                               _batch_rows, _farthest_points, _sq_dists, block_similarity,
-                               dtw, kmeans, transition_index)
+from actseg.similarity import (_KMEANS_MAX_ITER, _KMEANS_TOL, Metric, _batch_rows,
+                               _farthest_points, _sq_dists, block_similarity, dtw, kmeans,
+                               transition_index)
 
 
 # ---------------------------------------------------- block_similarity cosine
@@ -165,10 +165,9 @@ BLOCK_SHAPES = [(1, 1), (3, 1), (64, 1), (2, 3), (4, 7), (16, 512)]
 
 def chunk_cases(s, d):
     """(pairs per chunk, pair counts) to run an (s, d) block shape with: m - 1
-    on either side of a chunk edge, and below one chunk, where a step costs
-    several grid rows. Chunks of _WIDE_SCAN_PAIRS take the per-column scan,
-    the others accumulate."""
-    for chunk in [1, 2, 3] + ([_WIDE_SCAN_PAIRS] if s * d <= 64 else []):
+    below one chunk and on either side of a chunk edge, for chunks of 1, 2
+    and 3 pairs and, on narrow blocks, one of 256 pairs."""
+    for chunk in [1, 2, 3] + ([256] if s * d <= 64 else []):
         yield chunk, [p for p in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1) if p >= 1]
 
 
@@ -202,8 +201,8 @@ def test_block_dtw_equals_per_pair_dtw(stack):
 
 
 def test_block_dtw_every_chunk_case():
-    # Every case the strategy above samples from, so that each chunk edge,
-    # multi-row step and scan branch runs on every test run.
+    # Every case the strategy above samples from, so that each chunk edge
+    # runs on every test run.
     rng = np.random.default_rng(9)
     for s, d in BLOCK_SHAPES:
         for chunk, pair_counts in chunk_cases(s, d):

@@ -155,8 +155,7 @@ def _cmd_detect(args) -> int:
         vid, path = item
         feat = dataio.load_features(path, args.orientation)
         cells = (feat.frames - 1) * feat.dim ** 2
-        projected = args.dim_reduce is not None and args.dim_reduce < feat.dim  # as in detect
-        if not projected and cells > FULL_DTW_WARN_CELLS:
+        if not cfg.projects(feat.dim) and cells > FULL_DTW_WARN_CELLS:
             log.warning("%s: full-D DTW on T=%d frames x D=%d dims is %.1e cost cells; "
                         "consider --dim-reduce 64", vid, feat.frames, feat.dim, cells)
         try:

@@ -214,8 +214,9 @@ class DetectConfig:
     b_intrv is the minimum allowed gap (frames) between boundaries and
     doubles as the merge radius; AUTO derives it from the per-method
     proposals. num_classes is the cluster count for the global clustering
-    pass. dim_reduce, when set, projects features to that many dimensions
-    with a seeded random linear map before any scoring.
+    pass. dim_reduce, when set and below the feature width, projects
+    features to that many dimensions with a seeded random linear map
+    before any scoring (see `projects`).
     """
 
     num_classes: int
@@ -228,3 +229,7 @@ class DetectConfig:
         check_int_or_auto("b_intrv", self.b_intrv)
         if self.dim_reduce is not None and self.dim_reduce < 1:
             raise ValueError(f"dim_reduce must be >= 1, got {self.dim_reduce}")
+
+    def projects(self, dim: int) -> bool:
+        """Whether detection projects `dim`-wide features to dim_reduce dims."""
+        return self.dim_reduce is not None and self.dim_reduce < dim

@@ -58,12 +58,13 @@ def mean_filter(scores: np.ndarray, keep: MeanSide) -> BoundarySet:
     """Boundaries from score positions strictly below or above the mean.
 
     Score index i maps to boundary i + 1: the later frame starts the new
-    segment.
+    segment. The mean is kept inside [min, max], where rounding can push
+    it out, so a series with no spread proposes nothing.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("empty score series")
-    mean = scores.mean()
+    mean = np.clip(scores.mean(), scores.min(), scores.max())
     if keep == "below":
         hits = np.flatnonzero(scores < mean)
     elif keep == "above":
@@ -141,7 +142,7 @@ def detect(feat: FeatureSequence, cfg: DetectConfig,
                          f"{need} for num_classes {cfg.num_classes}")
     # Every frame is read, so widen them all once, before the projection.
     values = np.ascontiguousarray(feat.values, dtype=np.float64)
-    if cfg.dim_reduce is not None and cfg.dim_reduce < feat.dim:
+    if cfg.projects(feat.dim):
         values = _project(values, cfg.dim_reduce, seed)
     values.setflags(write=False)  # so FeatureSequence holds it uncopied
     work = FeatureSequence(values)

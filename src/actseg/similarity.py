@@ -18,9 +18,10 @@ from enum import Enum
 import numpy as np
 
 # Working-set budget of the blocked kernels, in bytes of float64 cells:
-# one step of block DTW (the differences of one grid row across a chunk of
-# pairs) and one block of k-means' squared norms. Sized to stay in a core's
-# L2 cache. A DTW chunk holds 1024 frame pairs at D=64 and 32 at D=2048.
+# one step of block DTW (the differences of one anti-diagonal of the grid,
+# at most one grid row long, across a chunk of pairs) and one block of
+# k-means' squared norms. Sized to stay in a core's L2 cache. A DTW chunk
+# holds 1024 frame pairs at D=64 and 32 at D=2048.
 _BATCH_BYTES = 512 << 10
 
 # Lloyd iterations of k-means stop after _KMEANS_MAX_ITER steps, when the
@@ -69,62 +70,44 @@ def _dtw_pairs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Accumulated DTW cost of each pair p, aligning the sequence
     rows[:, p] (n, d) with cols[:, p] (m, d).
 
-    Row-wise DP over a chunk of pairs at a time, pairs on the last axis.
-    The step costs |rows[i] - cols[j]| of grid row i are built on the fly,
-    one row per step, and S is their running sum along the row. Within a
-    row the recurrence unrolls to a running minimum over "enter column k
-    from above, then move right", which vectorises:
-    D[i,j] = S[j] + cummin_k(min(prev[k], prev[k-1]) - S[k-1]).
-    Column 0 reduces to prev[0].
+    The recurrence as written, one anti-diagonal i + j = k per step, over
+    a chunk of pairs at a time, pairs on the last axis. Diagonal k holds
+    the cells lo <= i < hi, which pair rows[i] with cols[k - i]: the rows
+    in order and the columns through a reversed view. The buffers of the
+    last two diagonals are indexed by i + 1 and hold +inf off the grid.
     """
     n, pairs, d = rows.shape
     m = cols.shape[0]
     chunk = min(pairs, _batch_rows(m * d))
     out = np.empty(pairs)
-    cells = np.empty((m, chunk, d))
-    prev, entry = np.empty((2, m, chunk))
+    cells = np.empty((min(n, m), chunk, d))
+    back = cols[::-1]  # back[m - 1 - j] is cols[j]
     for start in range(0, pairs, chunk):
         stop = min(start + chunk, pairs)
-        # Every grid row reads all of the chunk's cols; at d == 1 a strided
-        # read would touch a cache line per element, so copy them once.
-        col = np.ascontiguousarray(cols[:, start:stop]) if d == 1 else cols[:, start:stop]
-        diff = cells[:, :stop - start]
-        p, e = prev[:, :stop - start], entry[:, :stop - start]
-        for i in range(n):
+        two, one, cur = np.full((3, n + 1, stop - start), np.inf)
+        for k in range(n + m - 1):
+            lo, hi = max(0, k - m + 1), min(k, n - 1) + 1
+            diff = cells[:hi - lo, :stop - start]
             # cols - rows, not rows - cols: the squares are the same bits. A
             # copy and an in-place subtract measured about 20% faster than one
             # out-of-place subtract on correction blocks at d = 2048.
-            np.copyto(diff, col)
-            np.subtract(diff, rows[i, start:stop], out=diff)
+            np.copyto(diff, back[m - 1 - k + lo:m - 1 - k + hi, start:stop])
+            np.subtract(diff, rows[lo:hi, start:stop], out=diff)
             np.square(diff, out=diff)
             # Summing a length-1 axis changes no value but costs time.
-            s = diff[..., 0] if d == 1 else np.add.reduce(diff, axis=2)
+            cost = diff[..., 0] if d == 1 else np.add.reduce(diff, axis=2)
             # sqrt of the square, not abs: they differ where it underflows.
-            np.sqrt(s, out=s)
-            _scan(np.add, s)
-            if i == 0:
-                p[...] = s
-                continue
-            e[0] = p[0]
-            np.minimum(p[1:], p[:-1], out=e[1:])
-            np.subtract(e[1:], s[:-1], out=e[1:])
-            _scan(np.minimum, e)
-            np.add(s, e, out=p)
-        out[start:stop] = p[-1]
+            np.sqrt(cost, out=cost)
+            acc = cur[lo + 1:hi + 1]
+            if k == 0:
+                acc[...] = cost  # every path starts at (0, 0)
+            else:
+                np.minimum(one[lo:hi], one[lo + 1:hi + 1], out=acc)
+                np.minimum(acc, two[lo:hi], out=acc)
+                np.add(acc, cost, out=acc)
+            two, one, cur = one, cur, two
+        out[start:stop] = one[n]
     return out
-
-
-def _scan(ufunc: np.ufunc, a: np.ndarray) -> None:
-    """In-place inclusive scan of `ufunc` down the grid columns, axis 0, of
-    an (m, pairs) array, one vector call per column.
-
-    ufunc.accumulate would apply the same operation to the same operands in
-    the same order, but it walks each pair's column with a stride of a
-    whole row, which is several times slower once a row holds a few
-    hundred pairs.
-    """
-    for left, column in zip(a, a[1:]):
-        ufunc(left, column, out=column)
 
 
 def kmeans(points, k: int, seed: int) -> np.ndarray:
@@ -234,9 +217,9 @@ def block_similarity(blocks, metric: Metric) -> np.ndarray:
     RuntimeWarning per call instead of aborting, so padded or silent
     frames do not kill a whole video. DTW aligns the blocks' s d-vectors
     and equals dtw(blocks[j], blocks[j+1]) bit for bit: the pairs run
-    through the same recurrence, a chunk of pairs at a time, one grid row
-    per step, each step holding at most _BATCH_BYTES of float64 difference
-    cells unless one pair's row needs more.
+    through the same recurrence, a chunk of pairs at a time, one
+    anti-diagonal per step, each step holding at most _BATCH_BYTES of
+    float64 difference cells unless one pair's grid row needs more.
     """
     blocks = np.ascontiguousarray(blocks, dtype=np.float64)
     if blocks.ndim != 3 or blocks.shape[0] < 2 or 0 in blocks.shape:

@@ -7,6 +7,7 @@ verifiable ground truth for the correction and detection passes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +49,12 @@ class SynthSpec:
             if self.num_segments < 1 or lo < 1 or hi < lo:
                 raise ValueError(f"infeasible spec: {self.num_segments} segments "
                                  f"with length_range {self.length_range}")
-        if self.mean_separation <= 0:
-            raise ValueError(f"mean_separation must be > 0, got {self.mean_separation}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        # Written so that NaN fails too.
+        if not 0 < self.mean_separation < math.inf:
+            raise ValueError(f"mean_separation must be finite and > 0, "
+                             f"got {self.mean_separation}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def _sample_means(rng: np.random.Generator, count: int, dim: int,

@@ -141,11 +141,16 @@ def test_detect_auto_b_intrv_logged(synth_dir, tmp_path, caplog):
 
 
 def test_detect_constant_features_degenerate_exit(tmp_path):
+    # The float32 video's cosine scores all round to the same value, whose
+    # mean rounds above it: a mean taken outside the scores' range.
     feats = tmp_path / "flat.npy"
-    dataio.write_array(feats, np.ones((50, 4)))
-    code = main(["detect", str(feats), "--num-classes", "2", "--b-intrv", "10",
-                 "--out-bounds", str(tmp_path / "bounds.txt")])
-    assert code == 1
+    for values, extra in ((np.ones((50, 4)), ["--b-intrv", "10"]),
+                          (np.ones((50, 8), dtype=np.float32), [])):
+        dataio.write_array(feats, values)
+        code = main(["detect", str(feats), "--num-classes", "2", *extra,
+                     "--out-bounds", str(tmp_path / "bounds.txt")])
+        assert code == 1, values.shape
+        assert (tmp_path / "bounds.txt").read_text() == ""
 
 
 def test_missing_file_exit_2(tmp_path):
@@ -395,7 +400,9 @@ def test_synth_bad_count_exit_2(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize("argv", [["--segments", "0"], ["--min-len", "0"], ["--dim", "0"],
-                                  ["--sigma", "-1"], ["--min-len", "20", "--max-len", "10"]])
+                                  ["--sigma", "-1"], ["--min-len", "20", "--max-len", "10"],
+                                  ["--sigma", "nan"], ["--sigma", "inf"],
+                                  ["--separation", "nan"], ["--separation", "inf"]])
 def test_synth_bad_spec_writes_nothing(tmp_path, capsys, argv):
     out = tmp_path / "o"
     assert main(["synth", "--out-dir", str(out), *argv]) == 2

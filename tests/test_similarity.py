@@ -128,6 +128,13 @@ def test_dtw_against_brute_force_small():
         a = rng.integers(0, 4, size=rng.integers(1, 6))
         b = rng.integers(0, 4, size=rng.integers(1, 6))
         assert dtw(a, b) == brute_force_dtw(a, b)
+    # Float scalar series: at d = 1 the brute force's costs are the kernel's
+    # bits and each path sums in path order, so the recurrence must match
+    # exactly, not only up to rounding.
+    for _ in range(300):
+        a = rng.normal(size=rng.integers(1, 6))
+        b = rng.normal(size=rng.integers(1, 6))
+        assert dtw(a, b) == brute_force_dtw(a, b), (a, b)
 
 
 def test_dtw_symmetry():

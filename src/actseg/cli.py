@@ -32,8 +32,8 @@ from .synth import SynthSpec, generate, perturb_boundaries
 
 log = logging.getLogger("actseg")
 
-# Full-D DTW costs (T - 1) * D^2 cells; 1e9 is about 14 s at 2048-D
-# (about 0.06 s per frame pair on one core).
+# Full-D DTW costs (T - 1) * D^2 cells; 1e9 is about 5 s at 2048-D
+# (about 0.02 s per frame pair on one core).
 FULL_DTW_WARN_CELLS = 10**9
 
 
@@ -299,7 +299,14 @@ def _cmd_eval(args) -> int:
         pairs = []
         failed = _each_video(args.jobs, ids, load_pair, pairs.append) or failed
         if not failed:
-            rows.append((Path(bundle).stem if bundle else "all", evaluate_batch(pairs, opts)))
+            try:
+                result = evaluate_batch(pairs, opts)
+            except ValueError as exc:
+                if not ignore:
+                    raise
+                raise ValueError(f"--ignore {' '.join(args.ignore)}: {exc} "
+                                 f"in {bundle or gt_dir}") from None
+            rows.append((Path(bundle).stem if bundle else "all", result))
     if failed:
         return failed
     if args.splits:

@@ -22,6 +22,13 @@ from .similarity import Metric, block_similarity, dtw, kmeans  # noqa: F401
 
 MeanSide = Literal["below", "above"]
 
+# Bytes of float64 frames that detect widens and projects at a time (256
+# frames at D = 2048), so it never holds a T x D float64 copy. Of blocks
+# of 1 to 16 MiB timed on 5.5k-frame 2048-D videos, 4 and 8 MiB were the
+# fastest; 4 MiB is also the smallest block whose 2-column product stays
+# above OpenBLAS's small-matrix cutoff (see _project).
+_PROJECT_BYTES = 4 << 20
+
 
 @dataclass(frozen=True)
 class MethodProposals:
@@ -122,10 +129,29 @@ def auto_b_intrv(sets: Iterable[BoundarySet], frames: int) -> int:
 
 
 def _project(values: np.ndarray, target_dim: int, seed: int) -> np.ndarray:
-    # Untrained dimensionality reduction: a seeded random linear map.
+    """values @ basis for an untrained, seeded random (D, target_dim) basis,
+    bit for bit the product of the whole array widened to float64 in C order.
+
+    Returns a transposed view of a (target_dim, T) buffer, so each projected
+    dimension is contiguous over the frames. The frames are widened and
+    multiplied in near-equal blocks of about _PROJECT_BYTES, each read in
+    the caller's layout. OpenBLAS packs the operands of a general matrix
+    product into its own layout and sums each output value alone, so
+    neither the block edges nor the layout change a bit. That does not hold
+    below its small-matrix cutoff (10**6 multiply-adds) or for a one-column
+    basis (a matrix-vector product), so a video under two blocks and a
+    one-column basis are widened whole, in C order.
+    """
     rng = np.random.default_rng(seed)
-    basis = rng.standard_normal((values.shape[1], target_dim)) / np.sqrt(target_dim)
-    return values @ basis
+    frames, dim = values.shape
+    basis = rng.standard_normal((dim, target_dim)) / np.sqrt(target_dim)
+    count = max(1, frames * dim * 8 // _PROJECT_BYTES) if target_dim > 1 else 1
+    edges = [frames * i // count for i in range(count + 1)]
+    order = "K" if count > 1 else "C"
+    out = np.empty((target_dim, frames))
+    for start, stop in zip(edges[:-1], edges[1:]):
+        out[:, start:stop] = (values[start:stop].astype(np.float64, order=order) @ basis).T
+    return out.T
 
 
 def detect(feat: FeatureSequence, cfg: DetectConfig,
@@ -140,10 +166,10 @@ def detect(feat: FeatureSequence, cfg: DetectConfig,
     if feat.frames < need:
         raise ValueError(f"too few frames ({feat.frames}) for detection: need at least "
                          f"{need} for num_classes {cfg.num_classes}")
-    # Every frame is read, so widen them all once, before the projection.
-    values = np.ascontiguousarray(feat.values, dtype=np.float64)
     if cfg.projects(feat.dim):
-        values = _project(values, cfg.dim_reduce, seed)
+        values = _project(feat.values, cfg.dim_reduce, seed)
+    else:  # every frame is read at full width, so widen them all once
+        values = np.ascontiguousarray(feat.values, dtype=np.float64)
     values.setflags(write=False)  # so FeatureSequence holds it uncopied
     work = FeatureSequence(values)
 

@@ -274,7 +274,8 @@ def evaluate_batch(pairs: Sequence[tuple[LabelSequence, LabelSequence]],
 
     Accuracy is frame-weighted over the corpus; edit is the mean of the
     per-video scores; segmental and boundary F1 pool their TP/FP/FN
-    tallies before the final ratio.
+    tallies before the final ratio. Raises ValueError when `opts.ignore`
+    leaves no ground-truth frame of the batch to score.
     """
     opts = opts or EvalOptions()
     if not pairs:
@@ -295,7 +296,9 @@ def evaluate_batch(pairs: Sequence[tuple[LabelSequence, LabelSequence]],
             seg_counts[thr] += segment_match_counts(pred, gt, thr, opts.ignore)
         bound_counts += boundary_match_counts(boundaries_of(pred), boundaries_of(gt),
                                               opts.boundary_tolerance)
-    acc = 100.0 * correct / frames if frames else 100.0
+    if not frames:
+        raise ValueError("no ground-truth frame is left to score")
+    acc = 100.0 * correct / frames
     f1 = {thr: _f1_from_counts(*seg_counts[thr]) for thr in THRESHOLDS}
     return EvalResult(acc=acc, edit=float(np.mean(edits)), f1=f1,
                       boundary_f1=_f1_from_counts(*bound_counts))

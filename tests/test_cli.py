@@ -549,6 +549,24 @@ def test_eval_ignore_unknown_name_exit_2(synth_dir, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("splits", [False, True])
+def test_eval_ignoring_every_class_exit_2(tmp_path, capsys, splits):
+    data = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(data), "--count", "2", "--segments", "3",
+                 "--dim", "8", "--min-len", "20", "--max-len", "30", "--seed", "1"]) == 0
+    gt = str(data / "groundTruth")
+    args = ["eval", gt, gt, "--mapping", str(data / "mapping.txt"),
+            *(["--splits", str(data / "splits" / "all.txt")] if splits else [])]
+    assert main([*args, "--ignore", "action_00", "action_01"]) == 0
+    capsys.readouterr()
+    assert main([*args, "--ignore", "action_00", "action_01", "action_02"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --ignore action_00 action_01 action_02: "
+                                   "no ground-truth frame is left to score in ")
+    assert captured.err.rstrip().endswith("all.txt" if splits else "groundTruth")
+
+
 def test_jobs_outputs_identical(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["synth", "--out-dir", str(data), "--count", "4", "--segments", "5",

@@ -160,6 +160,41 @@ def test_segment_classes_and_locality_preserved_on_noise_features(case):
             f"frame {frame} changed outside every window"
 
 
+@st.composite
+def piecewise_constant_cases(draw):
+    """Labels of 2-6 segments, neighbours differing, over float32 or float64
+    features made of runs of one repeated frame (some of them zero), plus a
+    window config and seed."""
+    lengths = draw(st.lists(st.integers(9, 40), min_size=2, max_size=6))
+    classes = [draw(st.integers(0, 3))]
+    for _ in lengths[1:]:
+        classes.append(draw(st.integers(0, 3).filter(lambda c, prev=classes[-1]: c != prev)))
+    labels = np.repeat(classes, lengths)
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    values = np.empty((labels.size, draw(st.integers(1, 6))),
+                      dtype=draw(st.sampled_from([np.float32, np.float64])))
+    start = 0
+    while start < labels.size:
+        stop = start + draw(st.integers(1, 60))
+        values[start:stop] = 0.0 if draw(st.booleans()) else rng.normal(size=values.shape[1])
+        start = stop
+    cfg = draw(st.sampled_from([(16, 4), (8, 2), (8, 4), (AUTO, AUTO)]))
+    return LabelSequence(labels, 4), FeatureSequence(values), CorrectionConfig(*cfg), seed
+
+
+@pytest.mark.filterwarnings("ignore:zero-norm block:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(piecewise_constant_cases())
+def test_constant_window_keeps_its_boundary(case):
+    labels, feat, cfg, seed = case
+    _, report = correct_all(feat, labels, cfg, seed=seed)
+    constant = [r for r in report.records if r.window is not None
+                and (feat.values[r.window.start:r.window.end] == feat.values[r.window.start]).all()]
+    for record in constant:
+        assert record.corrected == record.original, record
+
+
 def test_auto_config_runs():
     feat, labels, bounds = step_video([40, 44, 40], seed=6)
     noisy = perturb_boundaries(labels, 3, seed=2)

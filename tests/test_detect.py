@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from actseg.core import AUTO, BoundarySet, DetectConfig, FeatureSequence
-from actseg.detect import (auto_b_intrv, cluster_bounds, detect, frame_scores,
-                           majority_labels, mean_filter, merge_mean, remove_close,
-                           segment_labels)
+from actseg.detect import (_PROJECT_BYTES, _project, auto_b_intrv, cluster_bounds, detect,
+                           frame_scores, majority_labels, mean_filter, merge_mean,
+                           remove_close, segment_labels)
 from actseg.similarity import Metric, kmeans
 from actseg.synth import SynthSpec, generate
 
@@ -158,6 +160,53 @@ def test_auto_b_intrv_clamped_to_half_length():
     assert auto_b_intrv(sets, 400) == 200
 
 
+# ---------------------------------------------------------------- _project
+
+def whole_projection(values, target_dim, seed):
+    """The projection as one product of every frame widened in C order."""
+    basis = np.random.default_rng(seed).standard_normal((values.shape[1], target_dim))
+    return np.ascontiguousarray(values, np.float64) @ (basis / np.sqrt(target_dim))
+
+
+def block_frames(dim):
+    return _PROJECT_BYTES // (8 * dim)
+
+
+PROJECT_LAYOUTS = {
+    "d_by_t_float32": lambda a: np.ascontiguousarray(a.T, np.float32).T,
+    "t_by_d_float32": lambda a: a.astype(np.float32),
+    "t_by_d_float64": lambda a: a,
+}
+
+
+@pytest.mark.parametrize("target_dim", [1, 2, 16])
+@pytest.mark.parametrize("dim, frames", [(dim, blocks * block_frames(dim) + extra)
+                                         for dim in (64, 2048)
+                                         for blocks, extra in ((1, -1), (3, 1), (3, -1))])
+@pytest.mark.parametrize("layout", PROJECT_LAYOUTS)
+def test_project_equals_the_whole_product(layout, dim, frames, target_dim):
+    values = PROJECT_LAYOUTS[layout](np.random.default_rng(frames).normal(size=(frames, dim)))
+    got = _project(values, target_dim, seed=4)
+    assert got.T.flags.c_contiguous  # dimension-major
+    assert np.array_equal(got, whole_projection(values, target_dim, seed=4))
+
+
+def _comparable(proposals):
+    return [v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(proposals).values()]
+
+
+def test_detect_ignores_the_layout_of_a_multi_block_video():
+    feat, _ = step_features([200, 250, 150], dim=2048, sigma=0.5, seed=12)
+    t_by_d = feat.values.astype(np.float32)
+    assert t_by_d.nbytes >= _PROJECT_BYTES  # two blocks once widened
+    d_by_t = np.ascontiguousarray(t_by_d.T).T
+    cfg = DetectConfig(num_classes=3, b_intrv=20, dim_reduce=64)
+    got, got_props = detect(FeatureSequence(d_by_t), cfg, seed=1)
+    want, want_props = detect(FeatureSequence(t_by_d), cfg, seed=1)
+    assert got == want and len(got) >= 2
+    assert _comparable(got_props) == _comparable(want_props)
+
+
 # ------------------------------------------------------------------ detect
 
 def test_detect_recovers_five_segments():
@@ -236,3 +285,50 @@ def test_majority_labels_take_each_segments_most_frequent_id(data):
         ids, counts = np.unique(clusters[start:end], return_counts=True)
         # np.unique sorts the ids, so the first id with the top count is the lowest.
         assert np.all(segment == ids[np.argmax(counts)])
+
+
+# ------------------------------------------------------ degenerate videos
+
+@st.composite
+def repeated_frame_videos(draw):
+    """C-order float32 or float64 features of 1-4 segments around distinct
+    means, each segment 1-5 distinct frames repeated 1-6 times (noise 0
+    makes each segment constant), and a detection config."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    dim = draw(st.integers(2, 8))
+    noise = draw(st.sampled_from([0.0, 0.3]))
+    frames = []
+    for _ in range(draw(st.integers(1, 4))):
+        mean = rng.normal(scale=6.0, size=dim)
+        for _ in range(draw(st.integers(1, 5))):
+            frames += [mean + rng.normal(scale=noise, size=dim)] * draw(st.integers(1, 6))
+    values = np.array(frames, dtype=draw(st.sampled_from([np.float32, np.float64])))
+    cfg = DetectConfig(num_classes=draw(st.integers(2, max(2, min(4, len(values))))),
+                       b_intrv=draw(st.sampled_from([AUTO, 1, 3, 10])),
+                       dim_reduce=draw(st.sampled_from([None, 1, dim - 1])))
+    return values, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_frame_videos())
+def test_no_proposal_between_identical_frames(case):
+    values, cfg = case
+    assume(len(values) >= cfg.num_classes)
+    _, props = detect(FeatureSequence(values), cfg, seed=0)
+    for bounds in (props.cosine_bounds, props.dtw_bounds, props.cluster_bounds):
+        for b in bounds:
+            assert not np.array_equal(values[b - 1], values[b]), (b, bounds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_frame_videos(), st.data())
+def test_zero_norm_frames_warn_and_do_not_raise(case, data):
+    values, cfg = case
+    assume(len(values) >= cfg.num_classes)
+    values = values.copy()
+    values[data.draw(st.lists(st.integers(0, len(values) - 1), min_size=1))] = 0.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        detect(FeatureSequence(values), cfg, seed=0)
+    assert {str(w.message) for w in caught} == \
+        {"zero-norm block in cosine similarity, scored 0.0"}

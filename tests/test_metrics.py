@@ -332,6 +332,10 @@ def test_evaluate_ignore_class():
 def test_evaluate_batch_fields_within_0_100(pairs, ignore, tolerance):
     for opts in (EvalOptions(boundary_tolerance=tolerance),
                  EvalOptions(boundary_tolerance=tolerance, ignore=ignore)):
+        if all(np.isin(gt.labels, list(opts.ignore)).all() for _, gt in pairs):
+            with pytest.raises(ValueError, match="no ground-truth frame is left to score"):
+                evaluate_batch(pairs, opts)
+            continue
         for key, value in evaluate_batch(pairs, opts).field_values().items():
             assert 0.0 <= value <= 100.0, (key, value)
 

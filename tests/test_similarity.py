@@ -219,6 +219,28 @@ def test_block_dtw_every_chunk_case():
                                       per_pair_dtw(blocks)), (s, d, chunk, pairs)
 
 
+def memory_layouts(blocks):
+    """The same (m, s, d) values in C order, in F order (the pair axis
+    contiguous, as detect's dimension-major frames give it) and as a view
+    strided on every axis."""
+    spaced = np.zeros(tuple(2 * n for n in blocks.shape))
+    spaced[::2, ::2, ::2] = blocks
+    return {"C": np.ascontiguousarray(blocks), "F": np.asfortranarray(blocks),
+            "strided": spaced[::2, ::2, ::2]}
+
+
+@pytest.mark.parametrize("shape, chunk", [((8, 64, 1), 3), ((5, 4, 512), 2)])
+def test_block_similarity_ignores_memory_layout(shape, chunk):
+    # (8, 64, 1): frames as series, 7 pairs in chunks of 3; (5, 4, 512): a
+    # correction window of four-frame blocks, 4 pairs in chunks of 2.
+    layouts = memory_layouts(np.random.default_rng(5).normal(scale=10.0, size=shape))
+    want_dtw = block_dtw_with_chunk(layouts["C"], chunk)
+    want_cos = block_similarity(layouts["C"], Metric.COSINE)
+    for name, blocks in layouts.items():
+        assert np.array_equal(block_dtw_with_chunk(blocks, chunk), want_dtw), name
+        assert np.array_equal(block_similarity(blocks, Metric.COSINE), want_cos), name
+
+
 def test_block_similarity_rejects_non_stack():
     for shape in [(4, 3), (1, 2, 2), (2, 0, 3), (2, 3, 0)]:
         for metric in Metric:

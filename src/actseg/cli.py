@@ -64,6 +64,13 @@ def _target(base: Path, batch: bool, stem: str, suffix: str) -> Path:
     return base / f"{stem}{suffix}" if batch else base
 
 
+def _distinct_outputs(first: str, a: Path, second: str, b: Path | None) -> None:
+    """Refuse two outputs of one call that resolve to the same file or
+    directory, where one would replace the other's files."""
+    if b is not None and os.path.realpath(a) == os.path.realpath(b):
+        raise ValueError(f"{first} and {second} both name {b}; give them different paths")
+
+
 # The batch a forked worker serves, set by `_adopt` in each worker.
 _batch: tuple = ()
 
@@ -146,6 +153,7 @@ def _load_mapping(args) -> dataio.ClassMapping | None:
 # ---------------------------------------------------------------- detect
 
 def _cmd_detect(args) -> int:
+    _distinct_outputs("--out-bounds", args.out_bounds, "--out-labels", args.out_labels)
     inputs, batch = _collect(args.features, ".npy")
     cfg = DetectConfig(num_classes=args.num_classes, b_intrv=args.b_intrv,
                        dim_reduce=args.dim_reduce)
@@ -186,6 +194,7 @@ def _cmd_detect(args) -> int:
 # ---------------------------------------------------------------- correct
 
 def _cmd_correct(args) -> int:
+    _distinct_outputs("--out", args.out, "--report", args.report)
     paired, batch = _pair_inputs(args.features, args.predictions)
     mapping = _load_mapping(args)
     cfg = CorrectionConfig(b_win=args.b_win, b_seg=args.b_seg)
@@ -254,11 +263,19 @@ def _cmd_vote(args) -> int:
 # ---------------------------------------------------------------- eval
 
 def _read_split(path: Path) -> list[str]:
-    ids = [line.strip() for line in dataio.read_text(path).splitlines() if line.strip()]
+    ids: dict[str, None] = {}  # an ordered set
+    for lineno, line in enumerate(dataio.read_text(path).splitlines(), 1):
+        if not line.strip():
+            continue
+        # Tolerate ids written with a file suffix; any other dot (rgb.01) is part of the id.
+        p = Path(line.strip())
+        vid = p.stem if p.suffix in (".txt", ".npy") else p.name
+        if vid in ids:
+            raise dataio.DataError(f"{path}:{lineno}: video {vid!r} listed twice")
+        ids[vid] = None
     if not ids:
         raise ValueError(f"empty split bundle: {path}")
-    # Tolerate ids written with a file suffix; any other dot (rgb.01) is part of the id.
-    return [p.stem if p.suffix in (".txt", ".npy") else p.name for p in map(Path, ids)]
+    return list(ids)
 
 
 def _cmd_eval(args) -> int:
@@ -292,23 +309,25 @@ def _cmd_eval(args) -> int:
                 raise dataio.DataError(f"{pred_path}: {exc}") from None
         return pred, gt
 
-    rows: list[tuple[str, EvalResult]] = []
-    failed = 0
-    for bundle in args.splits or [None]:
-        ids = _read_split(bundle) if bundle else sorted(gt_items)
-        pairs = []
-        failed = _each_video(args.jobs, ids, load_pair, pairs.append) or failed
-        if not failed:
-            try:
-                result = evaluate_batch(pairs, opts)
-            except ValueError as exc:
-                if not ignore:
-                    raise
-                raise ValueError(f"--ignore {' '.join(args.ignore)}: {exc} "
-                                 f"in {bundle or gt_dir}") from None
-            rows.append((Path(bundle).stem if bundle else "all", result))
+    # (row name, video ids, source named in errors) per bundle.
+    bundles = ([(b.stem, _read_split(b), b) for b in args.splits] if args.splits
+               else [("all", sorted(gt_items), gt_dir)])
+    # Every video is loaded once, however many bundles list it.
+    vids = list(dict.fromkeys(vid for _, ids, _ in bundles for vid in ids))
+    loaded = []
+    failed = _each_video(args.jobs, vids, load_pair, loaded.append)
     if failed:
         return failed
+    pairs = dict(zip(vids, loaded))
+    rows: list[tuple[str, EvalResult]] = []
+    for name, ids, source in bundles:
+        try:
+            result = evaluate_batch([pairs[vid] for vid in ids], opts)
+        except ValueError as exc:
+            if not ignore:
+                raise
+            raise ValueError(f"--ignore {' '.join(args.ignore)}: {exc} in {source}") from None
+        rows.append((name, result))
     if args.splits:
         rows.append(("avg", mean_result([r for _, r in rows])))
     overall = rows[-1][1]

@@ -25,10 +25,9 @@ import numpy as np
 # within a few percent of each other.
 _BATCH_BYTES = 512 << 10
 
-# Lloyd iterations of k-means stop after _KMEANS_MAX_ITER steps, when the
-# labels repeat, or when the inertia changes by less than _KMEANS_TOL.
+# k-means stops at the first centroid update that leaves its labels
+# unchanged, or after _KMEANS_MAX_ITER updates.
 _KMEANS_MAX_ITER = 100
-_KMEANS_TOL = 1e-4
 
 
 class Metric(Enum):
@@ -131,31 +130,27 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
 
 
 def _lloyd(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Nearest-centroid labels once they repeat, once the step before moved
-    the inertia by less than _KMEANS_TOL, or after _KMEANS_MAX_ITER updates."""
+    """Lloyd's algorithm: each point takes its nearest farthest-point seed,
+    then, up to _KMEANS_MAX_ITER times, the centroids move to their members'
+    means and every point takes its nearest centroid. It stops at the first
+    update that leaves the labels unchanged."""
     n = pts.shape[0]
     # Squared norms, fixed for every step, in row blocks: no n x D temporary.
     rows = _batch_rows(pts.shape[1])
     pt_sq = np.concatenate([np.square(pts[i:i + rows]).sum(axis=1)
                             for i in range(0, n, rows)])
     centroids = pts[_farthest_points(pts, pt_sq, int(rng.integers(n)), k)]
-
-    labels = np.full(n, -1, dtype=np.int64)
-    inertia = np.inf
-    converged = False
-    for updates in range(_KMEANS_MAX_ITER + 1):
-        dists = _sq_dists(pts, pt_sq, centroids)
-        new_labels = np.argmin(dists, axis=1)
-        if converged or updates == _KMEANS_MAX_ITER or np.array_equal(new_labels, labels):
-            break
-        new_inertia = float(np.take_along_axis(dists, new_labels[:, None], axis=1).sum())
-        converged = abs(inertia - new_inertia) < _KMEANS_TOL
-        labels, inertia = new_labels, new_inertia
+    labels = np.argmin(_sq_dists(pts, pt_sq, centroids), axis=1)
+    for _ in range(_KMEANS_MAX_ITER):
         for j in range(k):
             members = pts[labels == j]
             if members.shape[0]:  # empty clusters keep their previous centroid
                 centroids[j] = members.mean(axis=0)
-    return new_labels
+        new_labels = np.argmin(_sq_dists(pts, pt_sq, centroids), axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return labels
 
 
 def _farthest_points(pts: np.ndarray, pt_sq: np.ndarray, first: int, k: int) -> list[int]:

@@ -573,6 +573,10 @@ def test_jobs_outputs_identical(tmp_path, capsys):
                  "--dim", "48", "--min-len", "60", "--max-len", "120",
                  "--sigma", "0.3", "--perturb", "5", "--seed", "7"]) == 0
     mapping = ["--mapping", str(data / "mapping.txt")]
+    bundles = tmp_path / "bundles"
+    bundles.mkdir()
+    (bundles / "a.txt").write_text("synth_000\nsynth_001\nsynth_002\n")
+    (bundles / "b.txt").write_text("synth_002\nsynth_003\n")  # shares synth_002 with a
     outputs = {}
     for jobs in ("1", "2", "3"):
         out = tmp_path / f"jobs{jobs}"
@@ -587,10 +591,65 @@ def test_jobs_outputs_identical(tmp_path, capsys):
         capsys.readouterr()
         assert main(["eval", str(out / "smoothed"), str(data / "groundTruth"), *mapping,
                      "--jobs", jobs]) == 0
+        assert main(["eval", str(out / "smoothed"), str(data / "groundTruth"), *mapping,
+                     "--jobs", jobs, "--splits", str(bundles / "a.txt"),
+                     str(bundles / "b.txt")]) == 0
         outputs[jobs] = _tree(out), capsys.readouterr().out
     assert len(outputs["1"][0]) == 20
-    assert "f1_50=" in outputs["1"][1]
+    assert outputs["1"][1].count("f1_50=") == 2
+    rows = [line.split()[0] for line in outputs["1"][1].splitlines()
+            if "=" not in line and not line.startswith(("split", "-"))]
+    assert rows == ["all", "a", "b", "avg"]
     assert outputs["1"] == outputs["2"] == outputs["3"]
+
+
+def test_eval_loads_each_video_once(synth_dir, tmp_path, monkeypatch):
+    (tmp_path / "a.txt").write_text("synth_000\nsynth_001\n")
+    (tmp_path / "b.txt").write_text("synth_001\nsynth_002\n")
+    loaded = []
+    load = dataio.load_labels
+
+    def counting_load(path, mapping=None):
+        loaded.append(Path(path).name)
+        return load(path, mapping)
+
+    monkeypatch.setattr(dataio, "load_labels", counting_load)
+    assert main(["eval", str(synth_dir / "predictions"), str(synth_dir / "groundTruth"),
+                 "--mapping", str(synth_dir / "mapping.txt"), "--jobs", "1",
+                 "--splits", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]) == 0
+    assert sorted(loaded) == sorted(2 * ["synth_000.txt", "synth_001.txt", "synth_002.txt"])
+
+
+@pytest.mark.parametrize("blank", [False, True])
+def test_eval_duplicate_split_id_exit_2(synth_dir, tmp_path, capsys, blank):
+    dup = tmp_path / "dup.txt"
+    dup.write_text(("\n" if blank else "") + "synth_000\nsynth_000.txt\n")
+    assert main(["eval", str(synth_dir / "predictions"), str(synth_dir / "groundTruth"),
+                 "--mapping", str(synth_dir / "mapping.txt"), "--splits", str(dup)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = 3 if blank else 2
+    assert captured.err == f"error: {dup}:{line}: video 'synth_000' listed twice\n"
+
+
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("command", ["detect", "correct"])
+def test_colliding_outputs_exit_2(synth_dir, tmp_path, capsys, command, batch):
+    feats, preds = synth_dir / "features", synth_dir / "predictions"
+    if not batch:
+        feats, preds = feats / "synth_000.npy", preds / "synth_000.txt"
+    out = tmp_path / ("out" if batch else "out.txt")
+    same = tmp_path / "." / out.name  # another spelling of the same path
+    if command == "detect":
+        flags = ("--out-bounds", "--out-labels")
+        args = ["detect", str(feats), "--num-classes", "4", "--b-intrv", "20"]
+    else:
+        flags = ("--out", "--report")
+        args = ["correct", str(feats), str(preds), "--mapping", str(synth_dir / "mapping.txt")]
+    assert main([*args, flags[0], str(out), flags[1], str(same)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[0]} and {flags[1]} both name ")
+    assert not out.exists()
 
 
 def test_dead_worker_exit_2(synth_dir, tmp_path, capfd, monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from actseg import similarity
 from actseg.core import FeatureSequence
 from actseg.detect import frame_scores
-from actseg.similarity import (_KMEANS_MAX_ITER, _KMEANS_TOL, Metric, _batch_rows,
+from actseg.similarity import (_KMEANS_MAX_ITER, Metric, _batch_rows,
                                _farthest_points, _sq_dists, block_similarity, dtw, kmeans,
                                transition_index)
 
@@ -298,31 +298,26 @@ def test_kmeans_constant_points_no_crash():
     assert kmeans(np.ones((6, 0)), 2, seed=0).tolist() == [0] * 6  # zero-width points
 
 
-def reference_kmeans(points, k, seed):
-    """k-means with a separate last distance pass: the Lloyd loop runs to
-    its stop, the labels come from one more distance pass to the final
-    centroids, then ids are renumbered by first appearance."""
+def reference_kmeans(points, k, seed, updates=_KMEANS_MAX_ITER):
+    """k-means with a separate last distance pass: the Lloyd loop runs until
+    its labels repeat or `updates` centroid updates are done, the labels
+    come from one more distance pass to the final centroids, then ids are
+    renumbered by first appearance."""
     pts = np.ascontiguousarray(points, dtype=np.float64)
     rng = np.random.default_rng(seed)
     n = pts.shape[0]
     pt_sq = (pts ** 2).sum(axis=1)
     centroids = pts[_farthest_points(pts, pt_sq, int(rng.integers(n)), k)]
     labels = np.full(n, -1, dtype=np.int64)
-    inertia = np.inf
-    for _ in range(_KMEANS_MAX_ITER):
-        dists = _sq_dists(pts, pt_sq, centroids)
-        new_labels = np.argmin(dists, axis=1)
-        new_inertia = float(np.take_along_axis(dists, new_labels[:, None], axis=1).sum())
+    for _ in range(updates):
+        new_labels = np.argmin(_sq_dists(pts, pt_sq, centroids), axis=1)
         if np.array_equal(new_labels, labels):
             break
-        converged = abs(inertia - new_inertia) < _KMEANS_TOL
-        labels, inertia = new_labels, new_inertia
+        labels = new_labels
         for j in range(k):
             members = pts[labels == j]
             if members.shape[0]:
                 centroids[j] = members.mean(axis=0)
-        if converged:
-            break
     labels = np.argmin(_sq_dists(pts, pt_sq, centroids), axis=1)
     mapping: dict[int, int] = {}
     for lab in labels.tolist():
@@ -353,6 +348,25 @@ def test_kmeans_equals_reference(case):
     labels = kmeans(pts, k, seed)
     assert labels.dtype == np.int64
     assert np.array_equal(labels, reference_kmeans(pts, k, seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kmeans_inputs(), st.sampled_from([2.0 ** -20, 2.0 ** -10, 2.0 ** 10]))
+def test_kmeans_ignores_a_power_of_two_scale(case, scale):
+    # Scaling by a power of two scales every distance and mean exactly, so a
+    # stopping rule with an absolute threshold is the only way to differ.
+    pts, k, seed = case
+    assert np.array_equal(kmeans(pts * scale, k, seed), kmeans(pts, k, seed))
+
+
+@pytest.mark.parametrize("updates", [0, 1, 2, 3])
+def test_kmeans_stops_after_max_updates(monkeypatch, updates):
+    pts = np.random.default_rng(3).normal(size=(300, 2))
+    converged = kmeans(pts, 8, seed=1)
+    monkeypatch.setattr(similarity, "_KMEANS_MAX_ITER", updates)
+    labels = kmeans(pts, 8, seed=1)
+    assert not np.array_equal(labels, converged)  # the cap, not the labels, stops it
+    assert np.array_equal(labels, reference_kmeans(pts, 8, 1, updates))
 
 
 def one_shot_seeds(pts, first, k):

@@ -2,10 +2,11 @@
 
 File-level front end over the library. Batch subcommands accept
 directories and run each video on up to `--jobs` forked worker processes,
-one video per worker at a time; results come back to the parent and are
-written and logged in input order, so repeated runs are bit-identical. A
-video that fails to load or run is reported and skipped while the rest are
-written. Exit codes: 2 if any video failed, a worker died, or on usage or
+one video per worker at a time. The process that computes a video writes
+its outputs; the parent logs each video's line and reports its error in
+input order, so repeated runs are bit-identical. A video that fails to
+load, run or write is reported and skipped while the rest are written.
+Exit codes: 2 if any video failed, a worker died, or on usage or
 IO errors, else 1 if detect found no boundaries for some video, else 0.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import dataio
-from .core import AUTO, CorrectionConfig, DetectConfig, LabelSequence
+from .core import AUTO, CorrectionConfig, DetectConfig
 from .correction import correct_all
 from .detect import detect, majority_labels
 from .metrics import (THRESHOLDS, EvalOptions, EvalResult, evaluate_batch,
@@ -92,33 +93,41 @@ def _attempt_nth(index: int):
     return _attempt(run, items[index])
 
 
-def _write_in_order(outcomes, write) -> int:
+def _report_in_order(outcomes, values: list) -> int:
     failed = False
     for result, exc in outcomes:
         if exc is None:
-            write(result)
+            line, value = result
+            if line:
+                log.info(line)
         else:
             print(f"error: {exc}", file=sys.stderr)
-            failed = True
+            failed, value = True, None
+        values.append(value)
     return 2 if failed else 0
 
 
-def _each_video(jobs: int, items: list, run, write) -> int:
-    """Run `run` per item and `write` its result in the parent, in input order.
+def _each_video(jobs: int, items: list, run) -> tuple[int, list]:
+    """Run `run` per item; log its line and report its error in input order.
 
+    `run(item)` does the item's whole work, writes included, and returns a
+    `(line, value)` pair: the line (if any) is logged and the value kept.
     When both `jobs` and the item count exceed one, items run on
     min(jobs, count) forked worker processes. Workers inherit `run` and
     `items` through the fork, receive only an index, and send back only the
-    `(result, exc)` pair. Otherwise everything runs inline and nothing is
-    forked. A ValueError or OSError from `run` is reported and skips only
-    that item; a worker that dies ends the batch after the results already
-    written. Returns 2 if any item was skipped or a worker died, else 0.
+    `((line, value), exc)` pair. Otherwise everything runs inline and
+    nothing is forked. A ValueError or OSError from `run` is reported and
+    skips only that item; a worker that dies ends the batch, and what the
+    other items wrote stays. Returns the exit code (2 if any item was
+    skipped or a worker died, else 0) and the values in input order, None
+    for a skipped item; after a worker dies the list stops short.
     """
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     workers = min(jobs, len(items))
+    values: list = []
     if workers == 1:
-        return _write_in_order((_attempt(run, item) for item in items), write)
+        return _report_in_order((_attempt(run, item) for item in items), values), values
     # Imported here: at module level they would slow every CLI start.
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -131,10 +140,10 @@ def _each_video(jobs: int, items: list, run, write) -> int:
     with ProcessPoolExecutor(workers, mp_context=context,
                              initializer=_adopt, initargs=(run, items)) as pool:
         try:
-            return _write_in_order(pool.map(_attempt_nth, range(len(items))), write)
+            return _report_in_order(pool.map(_attempt_nth, range(len(items))), values), values
         except BrokenProcessPool as exc:
             print(f"error: a worker process died: {exc}", file=sys.stderr)
-            return 2
+            return 2, values
 
 
 def _pair_inputs(features: Path, labels: Path) -> tuple[list[tuple[str, Path, Path]], bool]:
@@ -157,7 +166,6 @@ def _cmd_detect(args) -> int:
     inputs, batch = _collect(args.features, ".npy")
     cfg = DetectConfig(num_classes=args.num_classes, b_intrv=args.b_intrv,
                        dim_reduce=args.dim_reduce)
-    degenerate = []
 
     def run(item):
         vid, path = item
@@ -170,22 +178,17 @@ def _cmd_detect(args) -> int:
             bounds, props = detect(feat, cfg, seed=args.seed)
         except ValueError as exc:
             raise dataio.DataError(f"{path}: {exc}") from None
-        labels = (majority_labels(props.clusters, bounds, cfg.num_classes)
-                  if args.out_labels else None)
-        return vid, bounds, props, labels
-
-    def write(result):
-        vid, bounds, props, labels = result
-        log.info("%s: b_intrv=%d proposals cosine=%d dtw=%d cluster=%d -> %d boundaries",
-                 vid, props.resolved_b_intrv, len(props.cosine_bounds),
-                 len(props.dtw_bounds), len(props.cluster_bounds), len(bounds))
         dataio.save_boundaries(_target(args.out_bounds, batch, vid, ".txt"), bounds)
-        if labels is not None:
-            dataio.save_labels(_target(args.out_labels, batch, vid, ".txt"), labels)
-        if not bounds:
-            degenerate.append(vid)
+        if args.out_labels:
+            dataio.save_labels(_target(args.out_labels, batch, vid, ".txt"),
+                               majority_labels(props.clusters, bounds, cfg.num_classes))
+        return (f"{vid}: b_intrv={props.resolved_b_intrv} proposals "
+                f"cosine={len(props.cosine_bounds)} dtw={len(props.dtw_bounds)} "
+                f"cluster={len(props.cluster_bounds)} -> {len(bounds)} boundaries",
+                not bounds)
 
-    code = _each_video(args.jobs, inputs, run, write)
+    code, no_bounds = _each_video(args.jobs, inputs, run)
+    degenerate = [vid for (vid, _), flag in zip(inputs, no_bounds) if flag]
     if degenerate:
         log.warning("no boundaries detected for: %s", ", ".join(degenerate))
     return code or (1 if degenerate else 0)
@@ -204,20 +207,17 @@ def _cmd_correct(args) -> int:
         feat = dataio.load_features(fpath, args.orientation)
         labels = dataio.load_labels(ppath, mapping)
         try:
-            return vid, *correct_all(feat, labels, cfg, seed=args.seed)
+            corrected, report = correct_all(feat, labels, cfg, seed=args.seed)
         except ValueError as exc:
             raise dataio.DataError(f"{ppath} vs {fpath}: {exc}") from None
-
-    def write(result):
-        vid, corrected, report = result
-        log.info("%s: moved %d of %d boundaries", vid, report.moved(), len(report.records))
         dataio.save_labels(_target(args.out, batch, vid, ".txt"), corrected, mapping)
         if args.report:
             lines = "".join(f"{r.original} {r.corrected} {r.iterations}\n"
                             for r in report.records)
             dataio.save_text(_target(args.report, batch, vid, ".txt"), lines)
+        return f"{vid}: moved {report.moved()} of {len(report.records)} boundaries", None
 
-    return _each_video(args.jobs, paired, run, write)
+    return _each_video(args.jobs, paired, run)[0]
 
 
 # ---------------------------------------------------------------- smooth
@@ -231,15 +231,11 @@ def _cmd_smooth(args) -> int:
         vid, path = item
         labels = dataio.load_labels(path, mapping)
         s_win = auto_s_win(labels) if cfg.s_win == AUTO else cfg.s_win
-        return vid, s_win, smooth(labels, SmoothConfig(s_win, cfg.stride))
-
-    def write(result):
-        vid, s_win, smoothed = result
-        if cfg.s_win == AUTO:
-            log.info("%s: resolved s_win=%d", vid, s_win)
+        smoothed = smooth(labels, SmoothConfig(s_win, cfg.stride))
         dataio.save_labels(_target(args.out, batch, vid, ".txt"), smoothed, mapping)
+        return (f"{vid}: resolved s_win={s_win}" if cfg.s_win == AUTO else None), None
 
-    return _each_video(args.jobs, inputs, run, write)
+    return _each_video(args.jobs, inputs, run)[0]
 
 
 # ---------------------------------------------------------------- vote
@@ -251,10 +247,6 @@ def _cmd_vote(args) -> int:
         if len(source) != len(sources[0]):
             raise dataio.DataError(f"{path}: {len(source)} frames, but {args.predictions[0]} "
                                    f"has {len(sources[0])}")
-    if mapping is None:
-        # Each id file infers its class count from its own largest id.
-        classes = max(s.class_count for s in sources)
-        sources = tuple(LabelSequence(s.labels, classes) for s in sources)
     fused = vote(PredictionSet(sources, trusted_index=args.trusted))
     dataio.save_labels(args.out, fused, mapping)
     return 0
@@ -307,15 +299,14 @@ def _cmd_eval(args) -> int:
                 pred = hungarian_label_match(pred, gt)
             except ValueError as exc:
                 raise dataio.DataError(f"{pred_path}: {exc}") from None
-        return pred, gt
+        return None, (pred, gt)
 
     # (row name, video ids, source named in errors) per bundle.
     bundles = ([(b.stem, _read_split(b), b) for b in args.splits] if args.splits
                else [("all", sorted(gt_items), gt_dir)])
     # Every video is loaded once, however many bundles list it.
     vids = list(dict.fromkeys(vid for _, ids, _ in bundles for vid in ids))
-    loaded = []
-    failed = _each_video(args.jobs, vids, load_pair, loaded.append)
+    failed, loaded = _each_video(args.jobs, vids, load_pair)
     if failed:
         return failed
     pairs = dict(zip(vids, loaded))

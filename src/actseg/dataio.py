@@ -6,7 +6,8 @@ public benchmark feature dumps actually use: little-endian float32/float64,
 C order, 2-D, whole non-negative dimensions, a header under 10 000 bytes.
 Everything else is rejected with a message that names the file. Labels are
 one class name per line; boundaries one integer per line; mappings one
-"index name" pair per line, all UTF-8 text. All writes are atomic (temp
+"index name" pair per line, all UTF-8 text, with every integer written
+in ASCII digits. All writes are atomic (temp
 file + rename) and create the output's directory.
 """
 
@@ -59,6 +60,20 @@ def _atomic_write(path: Path, write) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _whole_number(text: str) -> int | None:
+    """The value of `text` if it is ASCII digits only, else None.
+
+    int() also reads `1_0`, `+20` and other scripts' digits, none of which
+    the writers produce.
+    """
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than Python converts
+        return None
 
 
 def save_text(path, text: str) -> None:
@@ -223,10 +238,9 @@ def load_mapping(path) -> ClassMapping:
         parts = line.split()
         if len(parts) != 2:
             raise DataError(f"{path}:{lineno}: expected 'index name', got {line!r}")
-        try:
-            idx = int(parts[0])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: bad class index {parts[0]!r}") from None
+        idx = _whole_number(parts[0])
+        if idx is None:
+            raise DataError(f"{path}:{lineno}: bad class index {parts[0]!r}")
         if idx in entries:
             raise DataError(f"{path}:{lineno}: duplicate class index {idx}")
         if parts[1] in entries.values():
@@ -265,16 +279,17 @@ def load_labels(path, mapping: ClassMapping | None = None) -> LabelSequence:
                 raise DataError(f"{path}:{i + 1}: unknown class name {name!r}")
             ids[i] = mapping.id_of(name)
         else:
-            try:
-                ids[i] = int(name)
-            except ValueError:
+            if name.startswith("-"):
+                raise DataError(f"{path}:{i + 1}: negative class id {name!r}")
+            value = _whole_number(name)
+            if value is None:
                 raise DataError(f"{path}:{i + 1}: expected an integer class id, "
-                                f"got {name!r}") from None
+                                f"got {name!r}")
+            try:
+                ids[i] = value
             except OverflowError:
                 raise DataError(f"{path}:{i + 1}: class id {name!r} does not fit "
                                 "in int64") from None
-            if ids[i] < 0:
-                raise DataError(f"{path}:{i + 1}: negative class id {name!r}")
     class_count = len(mapping) if mapping is not None else int(ids.max()) + 1
     return LabelSequence(ids, class_count)
 
@@ -293,11 +308,11 @@ def load_boundaries(path) -> BoundarySet:
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            values.append(int(line.strip()))
-        except ValueError:
+        value = _whole_number(line.strip())
+        if value is None:
             raise DataError(f"{path}:{lineno}: expected an integer frame index, "
-                            f"got {line!r}") from None
+                            f"got {line!r}")
+        values.append(value)
     try:
         return BoundarySet(tuple(values))
     except ValueError as exc:

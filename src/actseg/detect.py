@@ -140,17 +140,27 @@ def _project(values: np.ndarray, target_dim: int, seed: int) -> np.ndarray:
     neither the block edges nor the layout change a bit. That does not hold
     below its small-matrix cutoff (10**6 multiply-adds) or for a one-column
     basis (a matrix-vector product), so a video under two blocks and a
-    one-column basis are widened whole, in C order.
+    one-column basis are widened whole, in C order. Those products can
+    also round identical rows differently by their position, so there each
+    run of identical consecutive frames is projected once: a video without
+    such runs gets the whole product, and identical neighbours project to
+    identical rows.
     """
     rng = np.random.default_rng(seed)
     frames, dim = values.shape
     basis = rng.standard_normal((dim, target_dim)) / np.sqrt(target_dim)
     count = max(1, frames * dim * 8 // _PROJECT_BYTES) if target_dim > 1 else 1
-    edges = [frames * i // count for i in range(count + 1)]
-    order = "K" if count > 1 else "C"
     out = np.empty((target_dim, frames))
+    if count == 1:
+        wide = values.astype(np.float64, order="C")
+        starts = np.ones(frames, dtype=bool)  # frames that differ from the one before
+        starts[1:] = np.any(wide[1:] != wide[:-1], axis=1)
+        distinct = wide if starts.all() else wide[starts]
+        out[:] = (distinct @ basis)[np.cumsum(starts) - 1].T
+        return out.T
+    edges = [frames * i // count for i in range(count + 1)]
     for start, stop in zip(edges[:-1], edges[1:]):
-        out[:, start:stop] = (values[start:stop].astype(np.float64, order=order) @ basis).T
+        out[:, start:stop] = (values[start:stop].astype(np.float64, order="K") @ basis).T
     return out.T
 
 

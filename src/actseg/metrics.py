@@ -85,22 +85,21 @@ def _levenshtein(a: Sequence[int], b: Sequence[int]) -> int:
     return prev[-1]
 
 
-def _run_string(labels: LabelSequence, ignore: frozenset[int]) -> list[int]:
-    runs = [seg.label for seg in to_timeline(labels) if seg.label not in ignore]
-    # dropping ignored runs can leave equal neighbours; re-collapse them
-    out: list[int] = []
-    for r in runs:
-        if not out or out[-1] != r:
-            out.append(r)
-    return out
+def _segments(labels: LabelSequence, ignore: frozenset[int]) -> list[Segment]:
+    return [seg for seg in to_timeline(labels) if seg.label not in ignore]
 
 
 def edit_score(pred: LabelSequence, gt: LabelSequence,
                ignore: frozenset[int] = frozenset()) -> float:
     """Segmental edit score: 100 * (1 - normalised Levenshtein distance
-    between the ordered segment-class strings)."""
-    pred_runs = _run_string(pred, ignore)
-    gt_runs = _run_string(gt, ignore)
+    between the ordered segment-class strings).
+
+    The strings hold the segments F1 matches: segments of an `ignore` class
+    are dropped, and the same-class segments on either side of one stay
+    apart, as in the MS-TCN evaluation code.
+    """
+    pred_runs = [seg.label for seg in _segments(pred, ignore)]
+    gt_runs = [seg.label for seg in _segments(gt, ignore)]
     if not pred_runs and not gt_runs:
         return 100.0
     longest = max(len(pred_runs), len(gt_runs))
@@ -112,10 +111,6 @@ def _iou(a: Segment, b: Segment) -> float:
     inter = max(0, min(a.end, b.end) - max(a.start, b.start))
     union = (a.end - a.start) + (b.end - b.start) - inter
     return inter / union
-
-
-def _segments(labels: LabelSequence, ignore: frozenset[int]) -> list[Segment]:
-    return [seg for seg in to_timeline(labels) if seg.label not in ignore]
 
 
 def segment_match_counts(pred: LabelSequence, gt: LabelSequence, threshold: float,

@@ -35,7 +35,8 @@ class SmoothConfig:
 @dataclass(frozen=True)
 class PredictionSet:
     """Two or more equal-length predictions plus the index of the source
-    trusted to break total disagreement (default: the last one)."""
+    trusted to break total disagreement (default: the last one). Their
+    class counts may differ."""
 
     sources: tuple[LabelSequence, ...]
     trusted_index: int = -1
@@ -45,14 +46,10 @@ class PredictionSet:
         if len(sources) < 2:
             raise ValueError(f"need at least 2 prediction sources, got {len(sources)}")
         length = len(sources[0])
-        classes = sources[0].class_count
         for i, s in enumerate(sources[1:], start=1):
             if len(s) != length:
                 raise ValueError(f"prediction length mismatch: source {i} has "
                                  f"{len(s)} frames, source 0 has {length}")
-            if s.class_count != classes:
-                raise ValueError(f"class_count mismatch: source {i} has "
-                                 f"{s.class_count}, source 0 has {classes}")
         trusted = self.trusted_index
         if trusted < 0:
             trusted += len(sources)
@@ -68,7 +65,8 @@ def vote(preds: PredictionSet) -> LabelSequence:
     A class with strictly more votes than every other wins outright. On a
     tied maximum the trusted source wins if its class is among the leaders
     (this also covers total disagreement, where every class has one vote);
-    otherwise the leader voted by the lowest-indexed source wins.
+    otherwise the leader voted by the lowest-indexed source wins. The
+    result has the largest class count of the sources.
     """
     stack = np.stack([s.labels for s in preds.sources])
     # votes[s, t]: how many sources agree with source s at frame t
@@ -77,7 +75,7 @@ def vote(preds: PredictionSet) -> LabelSequence:
     trusted = preds.trusted_index
     first_leader = stack[leads.argmax(axis=0), np.arange(stack.shape[1])]
     out = np.where(leads[trusted], stack[trusted], first_leader)
-    return LabelSequence(out, preds.sources[0].class_count)
+    return LabelSequence(out, max(s.class_count for s in preds.sources))
 
 
 def _majority(window: np.ndarray) -> int:

@@ -199,6 +199,13 @@ def _negative_label_id(tmp_path):
         f"{path}:2: negative class id"
 
 
+def _underscored_label_id(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("0\n1_0\n")
+    return path, ["smooth", str(path), "--s-win", "2", "--out", str(tmp_path / "s.txt")], \
+        f"{path}:2: expected an integer class id, got '1_0'"
+
+
 def _oversized_label_id(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("0\n99999999999999999999\n")
@@ -244,7 +251,7 @@ def _sparse_ids_hungarian(tmp_path):
 
 @pytest.mark.parametrize("bad_input", [_negative_dim_npy, _overflowing_shape_npy,
                                        _zero_frame_npy, _more_classes_than_frames,
-                                       _negative_label_id,
+                                       _negative_label_id, _underscored_label_id,
                                        _oversized_label_id, _huge_npy_header,
                                        _unclosed_npy_header, _unhashable_npy_header,
                                        _sparse_ids_hungarian])
@@ -658,7 +665,7 @@ def test_dead_worker_exit_2(synth_dir, tmp_path, capfd, monkeypatch):
 
     def dying_load(path, mapping=None):
         if Path(path).stem == "synth_002":
-            # Die once the parent has written the other two videos.
+            # Die once the other two are written.
             deadline = time.monotonic() + 30
             while len(list(out.glob("*.txt"))) < 2 and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -704,6 +711,34 @@ def test_bad_video_skipped_others_written(synth_dir, tmp_path, capsys, command):
     assert f"error: {mixed / bad}: " in capsys.readouterr().err
     assert len(_tree(tmp_path / "want")) == 2
     assert _tree(tmp_path / "got") == _tree(tmp_path / "want")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", ["detect", "correct", "smooth"])
+def test_unwritable_output_skips_only_its_video(synth_dir, tmp_path, capsys, command, jobs):
+    mapping = ["--mapping", str(synth_dir / "mapping.txt")]
+
+    def argv(out):
+        return {
+            "detect": ["detect", str(synth_dir / "features"), "--num-classes", "4",
+                       "--b-intrv", "20", "--out-bounds", str(out)],
+            "correct": ["correct", str(synth_dir / "features"), str(synth_dir / "predictions"),
+                        *mapping, "--out", str(out)],
+            "smooth": ["smooth", str(synth_dir / "predictions"), "--s-win", "4", *mapping,
+                       "--out", str(out)],
+        }[command] + ["--jobs", jobs]
+
+    want, got = tmp_path / "want", tmp_path / "got"
+    assert main(argv(want)) == 0
+    blocked = got / "synth_001.txt"
+    blocked.mkdir(parents=True)  # a directory where the output file goes
+    capsys.readouterr()
+    assert main(argv(got)) == 2
+    assert str(blocked) in capsys.readouterr().err
+    expected = _tree(want)
+    del expected[Path("synth_001.txt")]
+    assert len(expected) == 2
+    assert _tree(got) == expected
 
 
 def test_eval_lists_every_missing_prediction(synth_dir, tmp_path, capsys):
@@ -823,13 +858,28 @@ def test_detect_clusters_each_video_once(synth_dir, tmp_path, monkeypatch):
     assert calls == [(t, 4) for t in frames]
 
 
-def test_readme_quickstart_runs(tmp_path, monkeypatch):
+def _readme_block(heading, language):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("## Quickstart on synthetic data", 1)[1]
-    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
-    commands = [line.strip() for line in block.replace("\\\n", " ").splitlines()
-                if line.startswith("actseg ")]
+    section = readme.split(f"\n{heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def _quickstart_commands():
+    block = _readme_block("## Quickstart on synthetic data", "bash")
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("actseg ")]
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch):
+    commands = _quickstart_commands()
     assert len(commands) >= 5
     monkeypatch.chdir(tmp_path)
     for command in commands:
-        assert main(shlex.split(command)[1:]) == 0, command
+        assert main(command) == 0, command
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(next(c for c in _quickstart_commands() if c[0] == "synth")) == 0
+    exec(_readme_block("## Library", "python"), {})
+    assert "'f1_50'" in capsys.readouterr().out

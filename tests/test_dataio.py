@@ -350,7 +350,19 @@ def test_mapping_requires_contiguous_ids(tmp_path):
     (dataio.load_labels, b"0\n\xff\n", ": not UTF-8 text at byte 2"),
     (dataio.load_mapping, b"0 a\n1 a\n", ":2: duplicate class name 'a'"),
     (dataio.load_boundaries, b"0\n", ": boundary indices must be >= 1"),
-], ids=["labels", "mapping", "boundaries"])
+    # Integers are ASCII digits only: int() would read all of these.
+    (dataio.load_labels, b"0\n1_0\n", ":2: expected an integer class id, got '1_0'"),
+    (dataio.load_labels, b"+2\n", ":1: expected an integer class id, got '+2'"),
+    (dataio.load_labels, "0\n\u0663\n".encode(), ":2: expected an integer class id"),
+    (dataio.load_labels, b"0\n-0\n", ":2: negative class id '-0'"),
+    (dataio.load_boundaries, b"5\n1_0\n", ":2: expected an integer frame index, got '1_0'"),
+    (dataio.load_boundaries, b"+20\n", ":1: expected an integer frame index, got '+20'"),
+    (dataio.load_boundaries, "\u0663\u0660\n".encode(), ":1: expected an integer frame index"),
+    (dataio.load_mapping, b"+0 a\n1 b\n", ":1: bad class index '+0'"),
+    (dataio.load_mapping, b"0 a\n0_1 b\n", ":2: bad class index '0_1'"),
+], ids=["labels", "mapping", "boundaries", "labels_underscore", "labels_plus",
+        "labels_arabic_indic", "labels_minus_zero", "boundaries_underscore",
+        "boundaries_plus", "boundaries_arabic_indic", "mapping_plus", "mapping_underscore"])
 def test_text_errors_name_the_file(tmp_path, load, raw, detail):
     path = tmp_path / "in.txt"
     path.write_bytes(raw)

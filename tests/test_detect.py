@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from actseg.core import AUTO, BoundarySet, DetectConfig, FeatureSequence
@@ -311,6 +311,8 @@ def repeated_frame_videos(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(repeated_frame_videos())
+# Five identical frames: a one-column product rounded the last one apart.
+@example((np.array([np.arange(1.0, 9.0)] * 5), DetectConfig(num_classes=2, dim_reduce=1)))
 def test_no_proposal_between_identical_frames(case):
     values, cfg = case
     assume(len(values) >= cfg.num_classes)

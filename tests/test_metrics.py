@@ -85,6 +85,15 @@ def test_edit_against_reference_dp():
         assert edit_score(pred, gt) == pytest.approx(expected)
 
 
+def test_edit_keeps_apart_the_segments_around_an_ignored_one():
+    # Edit scores the segments F1 matches: dropping B leaves two A segments.
+    pred = labels_from_segments([(A, 0, 5), (B, 5, 10), (A, 10, 15)])
+    gt = labels_from_segments([(A, 0, 15)])
+    result = evaluate(pred, gt, EvalOptions(ignore=frozenset({B})))
+    assert result.edit == 50.0
+    assert result.f1[0.10] == pytest.approx(200 / 3)
+
+
 def _random_runs(rng, max_len=8, classes=4):
     length = int(rng.integers(1, max_len + 1))
     runs = [int(rng.integers(0, classes))]

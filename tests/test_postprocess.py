@@ -48,6 +48,12 @@ def test_vote_length_mismatch_errors():
         PredictionSet((seq([A, B]), seq([A])))
 
 
+def test_vote_takes_the_largest_class_count():
+    fused = vote(PredictionSet((seq([A, B], classes=2), seq([A, B], classes=5),
+                                seq([A, A], classes=3))))
+    assert fused == seq([A, B], classes=5)
+
+
 def test_vote_needs_two_sources():
     with pytest.raises(ValueError, match="at least 2"):
         PredictionSet((seq([A]),))

@@ -5,7 +5,7 @@ directories and run each video on up to `--jobs` forked worker processes,
 one video per worker at a time. The process that computes a video writes
 its outputs; the parent logs each video's line and reports its error in
 input order, so repeated runs are bit-identical. A video that fails to
-load, run or write is reported and skipped while the rest are written.
+load, run or write is reported and skipped, leaving no output of its own.
 Exit codes: 2 if any video failed, a worker died, or on usage or
 IO errors, else 1 if detect found no boundaries for some video, else 0.
 """
@@ -178,10 +178,11 @@ def _cmd_detect(args) -> int:
             bounds, props = detect(feat, cfg, seed=args.seed)
         except ValueError as exc:
             raise dataio.DataError(f"{path}: {exc}") from None
-        dataio.save_boundaries(_target(args.out_bounds, batch, vid, ".txt"), bounds)
+        texts = {_target(args.out_bounds, batch, vid, ".txt"): dataio.format_boundaries(bounds)}
         if args.out_labels:
-            dataio.save_labels(_target(args.out_labels, batch, vid, ".txt"),
-                               majority_labels(props.clusters, bounds, cfg.num_classes))
+            texts[_target(args.out_labels, batch, vid, ".txt")] = dataio.format_labels(
+                majority_labels(props.clusters, bounds, cfg.num_classes))
+        dataio.save_texts(texts)
         return (f"{vid}: b_intrv={props.resolved_b_intrv} proposals "
                 f"cosine={len(props.cosine_bounds)} dtw={len(props.dtw_bounds)} "
                 f"cluster={len(props.cluster_bounds)} -> {len(bounds)} boundaries",
@@ -210,11 +211,11 @@ def _cmd_correct(args) -> int:
             corrected, report = correct_all(feat, labels, cfg, seed=args.seed)
         except ValueError as exc:
             raise dataio.DataError(f"{ppath} vs {fpath}: {exc}") from None
-        dataio.save_labels(_target(args.out, batch, vid, ".txt"), corrected, mapping)
+        texts = {_target(args.out, batch, vid, ".txt"): dataio.format_labels(corrected, mapping)}
         if args.report:
-            lines = "".join(f"{r.original} {r.corrected} {r.iterations}\n"
-                            for r in report.records)
-            dataio.save_text(_target(args.report, batch, vid, ".txt"), lines)
+            texts[_target(args.report, batch, vid, ".txt")] = "".join(
+                f"{r.original} {r.corrected} {r.iterations}\n" for r in report.records)
+        dataio.save_texts(texts)
         return f"{vid}: moved {report.moved()} of {len(report.records)} boundaries", None
 
     return _each_video(args.jobs, paired, run)[0]
@@ -225,13 +226,13 @@ def _cmd_correct(args) -> int:
 def _cmd_smooth(args) -> int:
     inputs, batch = _collect(args.predictions, ".txt")
     mapping = _load_mapping(args)
-    cfg = SmoothConfig(s_win=args.s_win, stride=args.stride)
+    cfg = SmoothConfig(s_win=args.s_win)
 
     def run(item):
         vid, path = item
         labels = dataio.load_labels(path, mapping)
         s_win = auto_s_win(labels) if cfg.s_win == AUTO else cfg.s_win
-        smoothed = smooth(labels, SmoothConfig(s_win, cfg.stride))
+        smoothed = smooth(labels, SmoothConfig(s_win))
         dataio.save_labels(_target(args.out, batch, vid, ".txt"), smoothed, mapping)
         return (f"{vid}: resolved s_win={s_win}" if cfg.s_win == AUTO else None), None
 
@@ -277,12 +278,10 @@ def _cmd_eval(args) -> int:
     mapping = _load_mapping(args)
     gt_items = dict(_collect(gt_dir, ".txt")[0])
     try:
-        ignore = frozenset(mapping.id_of(n) if mapping else int(n) for n in args.ignore or [])
-    except KeyError as exc:
-        raise ValueError(f"--ignore: {exc.args[0]} in {args.mapping}") from None
-    except ValueError:
-        raise ValueError(f"--ignore: without --mapping, class ids must be integers, "
-                         f"got {' '.join(args.ignore)}") from None
+        ignore = frozenset(map(mapping.id_of if mapping else dataio.class_id, args.ignore or []))
+    except (KeyError, ValueError) as exc:
+        source = f" in {args.mapping}" if mapping else ""
+        raise ValueError(f"--ignore: {exc.args[0]}{source}") from None
     opts = EvalOptions(boundary_tolerance=args.boundary_tolerance, ignore=ignore)
 
     def load_pair(vid: str):
@@ -453,8 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("predictions", type=Path)
     p.add_argument("--s-win", type=_int_or_auto, required=True,
                    help="smoothing window in frames, or 'auto'")
-    p.add_argument("--stride", type=int, default=None,
-                   help="window advance per step (default: s_win)")
     p.add_argument("--mapping", type=Path, default=None)
     p.add_argument("--out", type=Path, required=True)
     add_common(p)

@@ -7,8 +7,8 @@ C order, 2-D, whole non-negative dimensions, a header under 10 000 bytes.
 Everything else is rejected with a message that names the file. Labels are
 one class name per line; boundaries one integer per line; mappings one
 "index name" pair per line, all UTF-8 text, with every integer written
-in ASCII digits. All writes are atomic (temp
-file + rename) and create the output's directory.
+in ASCII digits. All writes are atomic (temp file + rename) and create
+the output's directory; `save_texts` writes several files as one unit.
 """
 
 from __future__ import annotations
@@ -39,26 +39,31 @@ class DataError(ValueError):
     """An input file is malformed, unsupported or unusable."""
 
 
-def _atomic_write(path: Path, write) -> None:
-    """Call `write(handle)` on a new hidden sibling file, then rename it over `path`.
-
-    Makes `path`'s directory first. The sibling is made with mode 0o666 for
-    the umask to narrow, as for any new file (tempfile.mkstemp gives 0o600
-    whatever the umask, and reading the umask is a set-and-restore that
-    races with other threads). O_EXCL keeps the random name from clobbering
-    anything.
+def _write_all(writes) -> None:
+    """For each `(path, write)` pair, make `path`'s directory and call
+    `write(handle)` on a new hidden sibling; once all are written, rename
+    each over its path. A failure removes the siblings and the paths already
+    renamed. A sibling is made with mode 0o666 for the umask to narrow, as
+    for any new file (tempfile.mkstemp gives 0o600 whatever the umask, and
+    reading the umask is a set-and-restore that races with other threads).
+    O_EXCL keeps the random name from clobbering anything.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    staged, placed = [], 0
     try:
-        with os.fdopen(fd, "wb") as handle:
-            write(handle)
-        os.replace(tmp, path)
+        for path, write in writes:
+            path = Path(path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((tmp, path))
+            with os.fdopen(fd, "wb") as handle:
+                write(handle)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+            placed += 1
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for i, (tmp, path) in enumerate(staged):
+            (path if i < placed else tmp).unlink(missing_ok=True)
         raise
 
 
@@ -76,9 +81,27 @@ def _whole_number(text: str) -> int | None:
         return None
 
 
+def class_id(text: str) -> int:
+    """A bare class id: ASCII digits whose value fits in int64."""
+    if text.startswith("-"):
+        raise ValueError(f"negative class id {text!r}")
+    value = _whole_number(text)
+    if value is None:
+        raise ValueError(f"expected an integer class id, got {text!r}")
+    if value >= 2**63:
+        raise ValueError(f"class id {text!r} does not fit in int64")
+    return value
+
+
+def save_texts(texts: dict) -> None:
+    """Write each `{path: text}` item as UTF-8; all of them or none."""
+    _write_all([(path, lambda handle, data=text.encode(): handle.write(data))
+                for path, text in texts.items()])
+
+
 def save_text(path, text: str) -> None:
     """Write `text` as UTF-8, atomically."""
-    _atomic_write(path, lambda handle: handle.write(text.encode()))
+    save_texts({path: text})
 
 
 def read_text(path) -> str:
@@ -152,8 +175,8 @@ def write_array(path, array: np.ndarray, descr: str = "<f8") -> None:
     # NumPy writes an F-contiguous input (a transpose) in Fortran order,
     # which read_array refuses.
     arr = np.ascontiguousarray(array, dtype=descr)
-    _atomic_write(path, lambda handle: npy_format.write_array(
-        handle, arr, (1, 0), allow_pickle=False))
+    _write_all([(path, lambda handle: npy_format.write_array(
+        handle, arr, (1, 0), allow_pickle=False))])
 
 
 def _transposed(path: Path, shape: tuple[int, ...], orientation: str) -> bool:
@@ -209,23 +232,16 @@ class ClassMapping:
         if len(set(names)) != len(names):
             raise ValueError("duplicate class names in mapping")
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_ids", {name: i for i, name in enumerate(names)})
 
     def __len__(self) -> int:
         return len(self.names)
 
     def id_of(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._ids[name]
+        except KeyError:
             raise KeyError(f"unknown class name {name!r}") from None
-
-    def name_of(self, class_id: int) -> str:
-        if not 0 <= class_id < len(self.names):
-            raise KeyError(f"unknown class id {class_id}")
-        return self.names[class_id]
-
-    def __contains__(self, name) -> bool:
-        return name in self.names
 
 
 def load_mapping(path) -> ClassMapping:
@@ -255,51 +271,38 @@ def load_mapping(path) -> ClassMapping:
 
 
 def save_mapping(path, mapping: ClassMapping) -> None:
-    text = "".join(f"{i} {name}\n" for i, name in enumerate(mapping.names))
-    save_text(path, text)
+    save_text(path, "".join(f"{i} {name}\n" for i, name in enumerate(mapping.names)))
 
 
 def load_labels(path, mapping: ClassMapping | None = None) -> LabelSequence:
     """Read one class name per line (or bare integer ids without a mapping).
 
-    Trailing blank lines are tolerated; an unknown name reports its line
-    number.
+    Trailing blank lines are tolerated; the first line that does not parse
+    reports its line number.
     """
     path = Path(path)
-    lines = read_text(path).splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
+    lines = read_text(path).rstrip().splitlines()
     if not lines:
         raise DataError(f"{path}: empty label file")
-    ids = np.empty(len(lines), dtype=np.int64)
-    for i, line in enumerate(lines):
-        name = line.strip()
-        if mapping is not None:
-            if name not in mapping:
-                raise DataError(f"{path}:{i + 1}: unknown class name {name!r}")
-            ids[i] = mapping.id_of(name)
-        else:
-            if name.startswith("-"):
-                raise DataError(f"{path}:{i + 1}: negative class id {name!r}")
-            value = _whole_number(name)
-            if value is None:
-                raise DataError(f"{path}:{i + 1}: expected an integer class id, "
-                                f"got {name!r}")
-            try:
-                ids[i] = value
-            except OverflowError:
-                raise DataError(f"{path}:{i + 1}: class id {name!r} does not fit "
-                                "in int64") from None
-    class_count = len(mapping) if mapping is not None else int(ids.max()) + 1
-    return LabelSequence(ids, class_count)
+    parse = mapping.id_of if mapping is not None else class_id
+    ids: list[int] = []
+    try:
+        for line in lines:
+            ids.append(parse(line.strip()))
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"{path}:{len(ids) + 1}: {exc.args[0]}") from None
+    class_count = len(mapping) if mapping is not None else max(ids) + 1
+    return LabelSequence(np.array(ids, dtype=np.int64), class_count)
 
 
 def save_labels(path, labels: LabelSequence, mapping: ClassMapping | None = None) -> None:
-    if mapping is not None:
-        lines = (mapping.name_of(int(v)) for v in labels.labels)
-    else:
-        lines = (str(int(v)) for v in labels.labels)
-    save_text(path, "\n".join(lines) + "\n")
+    save_text(path, format_labels(labels, mapping))
+
+
+def format_labels(labels: LabelSequence, mapping: ClassMapping | None = None) -> str:
+    """A label file's text: each frame's class name, or its bare id without a mapping."""
+    ids = labels.labels.tolist()
+    return "\n".join(map(str, ids) if mapping is None else [mapping.names[v] for v in ids]) + "\n"
 
 
 def load_boundaries(path) -> BoundarySet:
@@ -320,7 +323,11 @@ def load_boundaries(path) -> BoundarySet:
 
 
 def save_boundaries(path, bounds: BoundarySet) -> None:
-    save_text(path, "".join(f"{b}\n" for b in bounds))
+    save_text(path, format_boundaries(bounds))
+
+
+def format_boundaries(bounds: BoundarySet) -> str:
+    return "".join(f"{b}\n" for b in bounds)
 
 
 def save_report(path, result: EvalResult) -> None:

@@ -20,16 +20,12 @@ from .core import AUTO, LabelSequence, boundaries_of, check_int_or_auto
 @dataclass(frozen=True)
 class SmoothConfig:
     """s_win is the window length in frames (or AUTO to derive it from the
-    widest boundary gap); both windows advance by `stride` frames per step,
-    defaulting to s_win (non-overlapping steps)."""
+    widest boundary gap); both windows advance by s_win frames per step."""
 
     s_win: int | str = AUTO
-    stride: int | None = None
 
     def __post_init__(self):
         check_int_or_auto("s_win", self.s_win)
-        if self.stride is not None and self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
 
 
 @dataclass(frozen=True)
@@ -113,27 +109,24 @@ def smooth(labels: LabelSequence, cfg: SmoothConfig | None = None) -> LabelSeque
     cfg = cfg or SmoothConfig()
     if len(labels) == 0:
         raise ValueError("empty sequence")
-    s_win = auto_s_win(labels) if cfg.s_win == AUTO else int(cfg.s_win)
-    stride = cfg.stride if cfg.stride is not None else s_win
+    s_win = auto_s_win(labels) if cfg.s_win == AUTO else min(int(cfg.s_win), len(labels) + 1)
     out = labels.labels.copy()
-    total = out.size
-    p = 0
-    while p + s_win <= total:
+    # No W1 fits past T + 1. Both branches leave a one-class W1 as it is and no
+    # step writes outside its own W1, so only W1s holding a label change are visited.
+    windows = out[:out.size // s_win * s_win].reshape(-1, s_win)
+    for p in (np.flatnonzero((windows != windows[:, :1]).any(axis=1)) * s_win).tolist():
         w1 = out[p:p + s_win]
         w2 = out[p + s_win:p + 2 * s_win]
         m1 = _majority(w1)
         m2 = _majority(w2) if w2.size else m1
         if m1 == m2:
             keep = 0
-            if p > 0:
-                prev = out[p - 1]
-                while keep < s_win and w1[keep] == prev:
-                    keep += 1
+            while p and keep < s_win and w1[keep] == out[p - 1]:
+                keep += 1
             w1[keep:] = m1
         else:
             cut = s_win
             while cut > 0 and w1[cut - 1] == m2:
                 cut -= 1
             w1[:cut] = m1
-        p += stride
     return LabelSequence(out, labels.class_count)

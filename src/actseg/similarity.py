@@ -88,16 +88,18 @@ def _dtw_pairs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         for k in range(n + m - 1):
             lo, hi = max(0, k - m + 1), min(k, n - 1) + 1
             diff = cells[:hi - lo, :stop - start]
-            # cols - rows, not rows - cols: the squares are the same bits. A
-            # copy and an in-place subtract measured about 20% faster than one
-            # out-of-place subtract on correction blocks at d = 2048.
-            np.copyto(diff, back[m - 1 - k + lo:m - 1 - k + hi, start:stop])
-            np.subtract(diff, rows[lo:hi, start:stop], out=diff)
-            np.square(diff, out=diff)
-            # Summing a length-1 axis changes no value but costs time.
-            cost = diff[..., 0] if d == 1 else np.add.reduce(diff, axis=2)
-            # sqrt of the square, not abs: they differ where it underflows.
-            np.sqrt(cost, out=cost)
+            col, row = back[m - 1 - k + lo:m - 1 - k + hi, start:stop], rows[lo:hi, start:stop]
+            if d == 1:  # |c - r|, as the root of the square over- or underflows
+                cost = np.subtract(col[..., 0], row[..., 0], out=diff[..., 0])
+                np.absolute(cost, out=cost)
+            else:
+                # A copy and an in-place subtract measured about 20% faster than
+                # one out-of-place subtract on correction blocks at d = 2048.
+                np.copyto(diff, col)
+                np.subtract(diff, row, out=diff)
+                np.square(diff, out=diff)
+                cost = np.add.reduce(diff, axis=2)
+                np.sqrt(cost, out=cost)
             acc = cur[lo + 1:hi + 1]
             if k == 0:
                 acc[...] = cost  # every path starts at (0, 0)

@@ -1,6 +1,8 @@
+import argparse
 import importlib
 import logging
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -340,13 +342,14 @@ def test_plot_svg_two_rows_deterministic(synth_dir, tmp_path):
 
 def test_report_and_plot_written_atomically(synth_dir, tmp_path, monkeypatch):
     written = []
-    atomic_write = dataio._atomic_write
+    write_all = dataio._write_all
 
-    def recording(path, data):
-        written.append(Path(path))
-        atomic_write(path, data)
+    def recording(writes):
+        writes = list(writes)
+        written.extend(Path(path) for path, _ in writes)
+        write_all(writes)
 
-    monkeypatch.setattr(dataio, "_atomic_write", recording)
+    monkeypatch.setattr(dataio, "_write_all", recording)
     report, fig = tmp_path / "report.txt", tmp_path / "fig.svg"
     gt = synth_dir / "groundTruth" / "synth_000.txt"
     assert main(["correct", str(synth_dir / "features" / "synth_000.npy"),
@@ -479,6 +482,12 @@ def _eval_greedy(tmp_path):
         "invalid choice: 'greedy'"
 
 
+def _smooth_stride(tmp_path):
+    (tmp_path / "p.txt").write_text("0\n1\n")
+    return ["smooth", "p.txt", "--s-win", "2", "--stride", "2", "--out", "o.txt"], \
+        "unrecognized arguments: --stride 2"
+
+
 def _data_root_path(tmp_path):
     (tmp_path / "root").mkdir()
     (tmp_path / "root" / "p.txt").write_text("0\n1\n")  # under ACTSEG_DATA_ROOT only
@@ -496,7 +505,7 @@ def _mixed_window(b_win, b_seg):
 
 
 @pytest.mark.parametrize("case", [
-    _vote_seed, _eval_greedy, _data_root_path,
+    _vote_seed, _eval_greedy, _data_root_path, _smooth_stride,
     pytest.param(_mixed_window("auto", "4"), id="_auto_b_win"),
     pytest.param(_mixed_window("2", "auto"), id="_auto_b_seg")])
 def test_removed_inputs_exit_2(tmp_path, capsys, monkeypatch, case):
@@ -552,8 +561,21 @@ def test_eval_ignore_unknown_name_exit_2(synth_dir, capsys):
     assert f"unknown class name 'no_such_action' in {mapping}" in capsys.readouterr().err
     code = main(["eval", gt, gt, "--pred-format", "ids", "--ignore", "action_00"])
     assert code == 2
-    assert "--ignore: without --mapping, class ids must be integers, got action_00" \
-        in capsys.readouterr().err
+    assert "--ignore: expected an integer class id, got 'action_00'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spelling, message", [
+    ("0_1", "expected an integer class id, got '0_1'"),
+    ("\u0663", "expected an integer class id, got '\u0663'"),
+    ("+1", "expected an integer class id, got '+1'"),
+    ("-1", "negative class id '-1'")], ids=["underscore", "arabic_indic", "plus", "minus"])
+def test_eval_ignore_ids_parse_like_label_files(tmp_path, capsys, spelling, message):
+    for sub in ("pred", "gt"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "v.txt").write_text("0\n1\n3\n")
+    assert main(["eval", str(tmp_path / "pred"), str(tmp_path / "gt"), "--pred-format", "ids",
+                 "--ignore", spelling]) == 2
+    assert capsys.readouterr().err == f"error: --ignore: {message}\n"
 
 
 @pytest.mark.parametrize("splits", [False, True])
@@ -714,30 +736,36 @@ def test_bad_video_skipped_others_written(synth_dir, tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("command", ["detect", "correct", "smooth"])
-def test_unwritable_output_skips_only_its_video(synth_dir, tmp_path, capsys, command, jobs):
+@pytest.mark.parametrize("command, second", [
+    *(pytest.param(command, False, id=command) for command in ("detect", "correct", "smooth")),
+    pytest.param("detect", True, id="detect-second"),
+    pytest.param("correct", True, id="correct-second")])
+def test_unwritable_output_skips_only_its_video(synth_dir, tmp_path, capsys, command, second,
+                                                jobs):
+    """A blocked output skips its video, and a video leaves no output when either
+    of its two outputs (detect's --out-labels, correct's --report) is blocked."""
     mapping = ["--mapping", str(synth_dir / "mapping.txt")]
 
-    def argv(out):
+    def argv(out, extra):
         return {
             "detect": ["detect", str(synth_dir / "features"), "--num-classes", "4",
-                       "--b-intrv", "20", "--out-bounds", str(out)],
+                       "--b-intrv", "20", "--out-bounds", str(out), "--out-labels", str(extra)],
             "correct": ["correct", str(synth_dir / "features"), str(synth_dir / "predictions"),
-                        *mapping, "--out", str(out)],
+                        *mapping, "--out", str(out), "--report", str(extra)],
             "smooth": ["smooth", str(synth_dir / "predictions"), "--s-win", "4", *mapping,
                        "--out", str(out)],
         }[command] + ["--jobs", jobs]
 
     want, got = tmp_path / "want", tmp_path / "got"
-    assert main(argv(want)) == 0
-    blocked = got / "synth_001.txt"
+    assert main(argv(want / "first", want / "second")) == 0
+    blocked = got / ("second" if second else "first") / "synth_001.txt"
     blocked.mkdir(parents=True)  # a directory where the output file goes
     capsys.readouterr()
-    assert main(argv(got)) == 2
+    assert main(argv(got / "first", got / "second")) == 2
     assert str(blocked) in capsys.readouterr().err
-    expected = _tree(want)
-    del expected[Path("synth_001.txt")]
-    assert len(expected) == 2
+    expected = {path: data for path, data in _tree(want).items()
+                if path.name != "synth_001.txt"}
+    assert len(expected) == (2 if command == "smooth" else 4)
     assert _tree(got) == expected
 
 
@@ -883,3 +911,17 @@ def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
     assert main(next(c for c in _quickstart_commands() if c[0] == "synth")) == 0
     exec(_readme_block("## Library", "python"), {})
     assert "'f1_50'" in capsys.readouterr().out
+
+
+def test_readme_command_table_flags_exist():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n## Command line\n", 1)[1].strip().split("\n\n", 1)[0]
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    rows = table.splitlines()[2:]  # after the header and its rule
+    assert len(rows) == len(subparsers)
+    for row in rows:
+        command, _, flags = (cell.strip() for cell in re.split(r"(?<!\\)\|", row)[1:4])
+        options = subparsers[command.strip("`")]._option_string_actions
+        for flag in re.findall(r"--[a-z][a-z-]*", flags):
+            assert flag in options, f"README lists {flag} for {command}"

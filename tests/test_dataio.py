@@ -279,6 +279,25 @@ def test_labels_unknown_name_has_line_number(tmp_path):
         dataio.load_labels(path, mapping)
 
 
+def test_labels_first_unknown_name_reports_its_line(tmp_path):
+    mapping = dataio.ClassMapping(("pour", "cut"))
+    path = tmp_path / "labels.txt"
+    path.write_text("pour\ncut\npour\nstir\ncut\nblend\nstir\n")
+    with pytest.raises(dataio.DataError, match=r"labels.txt:4: unknown class name 'stir'"):
+        dataio.load_labels(path, mapping)
+
+
+@pytest.mark.parametrize("text, names", [
+    ("pour\npour\ncut\nmix\ncut\n", ("pour", "cut", "mix")),
+    ("0\n0\n12\n3\n", None)], ids=["names", "ids"])
+def test_label_file_round_trips_byte_for_byte(tmp_path, text, names):
+    mapping = dataio.ClassMapping(names) if names else None
+    (tmp_path / "in.txt").write_text(text)
+    dataio.save_labels(tmp_path / "out.txt", dataio.load_labels(tmp_path / "in.txt", mapping),
+                       mapping)
+    assert (tmp_path / "out.txt").read_bytes() == text.encode()
+
+
 def test_labels_empty_file_errors(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")

@@ -157,18 +157,18 @@ def test_smooth_trailing_frames_untouched():
     assert out.labels[4:].tolist() == [B, C]
 
 
+@pytest.mark.parametrize("s_win", [7, 2**62, 2**63, 10**20])
+def test_smooth_window_longer_than_the_video_changes_nothing(s_win):
+    labels = seq([A, B, A, A, C, A])
+    assert smooth(labels, SmoothConfig(s_win=s_win)) == labels
+
+
 def test_smooth_class_closure():
     rng = np.random.default_rng(2)
     for _ in range(100):
         labels = seq(rng.integers(0, 4, size=rng.integers(1, 50)))
         out = smooth(labels, SmoothConfig(s_win=int(rng.integers(1, 8))))
         assert set(out.labels.tolist()) <= set(labels.labels.tolist())
-
-
-def test_smooth_stride_one_runs():
-    labels = seq(np.repeat([A, B], [10, 10]))
-    out = smooth(labels, SmoothConfig(s_win=4, stride=1))
-    assert len(out) == 20
 
 
 @st.composite
@@ -179,23 +179,65 @@ def labelled(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(labelled(), st.just("auto") | st.integers(1, 12), st.none() | st.integers(1, 12))
+@given(labelled(), st.just("auto") | st.integers(1, 12))
 # The last W1 and its short W2 agree on A; frame 4 is past the last W1.
-@example(seq([A, A, A, A, B, A, A], 2), 4, None)
-def test_smooth_invariants(labels, s_win, stride):
-    cfg = SmoothConfig(s_win=s_win, stride=stride)
+@example(seq([A, A, A, A, B, A, A], 2), 4)
+def test_smooth_invariants(labels, s_win):
+    cfg = SmoothConfig(s_win=s_win)
     out = smooth(labels, cfg)
     assert len(out) == len(labels)
     assert out.class_count == labels.class_count
     assert set(out.labels.tolist()) <= set(labels.labels.tolist())
-    # W1 windows start at 0, stride, 2 * stride, ... while they fit.
+    # W1 windows start at 0, s_win, 2 * s_win, ... while they fit.
     width = auto_s_win(labels) if s_win == "auto" else s_win
-    step = stride or width
-    fits = len(labels) - width
-    untouched = fits // step * step + width if fits >= 0 else 0
+    untouched = len(labels) // width * width
     assert out.labels[untouched:].tolist() == labels.labels[untouched:].tolist()
     constant = seq(np.full(len(labels), labels.labels[0]), labels.class_count)
     assert smooth(constant, cfg) == constant
+
+
+def every_window_smooth(labels, s_win):
+    """Reference for smooth: visit every W1 [p, p + s_win) that fits, in order."""
+    out = labels.labels.copy()
+    p = 0
+    while p + s_win <= out.size:
+        w1 = out[p:p + s_win]
+        w2 = out[p + s_win:p + 2 * s_win]
+        m1 = _majority(w1)
+        m2 = _majority(w2) if w2.size else m1
+        if m1 == m2:
+            keep = 0
+            if p > 0:
+                prev = out[p - 1]
+                while keep < s_win and w1[keep] == prev:
+                    keep += 1
+            w1[keep:] = m1
+        else:
+            cut = s_win
+            while cut > 0 and w1[cut - 1] == m2:
+                cut -= 1
+            w1[:cut] = m1
+        p += s_win
+    return out
+
+
+@st.composite
+def runs(draw):
+    """Labels as runs of 1-5 classes, short runs (outliers) mixed with long ones."""
+    classes = draw(st.integers(1, 5))
+    lengths = st.integers(1, 3) | st.integers(4, 40)
+    pairs = draw(st.lists(st.tuples(st.integers(0, classes - 1), lengths), min_size=1,
+                          max_size=12))
+    return seq(np.repeat(*zip(*pairs)), classes)
+
+
+@settings(max_examples=500, deadline=None)
+@given(runs(), st.data())
+def test_smooth_equals_every_window_loop(labels, data):
+    s_win = data.draw(st.just("auto") | st.integers(1, len(labels) + 3), label="s_win")
+    width = auto_s_win(labels) if s_win == "auto" else s_win
+    out = smooth(labels, SmoothConfig(s_win=s_win))
+    np.testing.assert_array_equal(out.labels, every_window_smooth(labels, width))
 
 
 def _bincount_majority(window):

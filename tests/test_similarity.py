@@ -117,6 +117,18 @@ def test_dtw_single_pair():
     assert dtw([0], [5]) == 5.0
 
 
+@pytest.mark.parametrize("a, b, want", [
+    ([1e200], [-1e200], 2e200),  # the square of the difference overflows
+    ([1e-200], [0.0], 1e-200),   # the square of the difference underflows to 0
+], ids=["huge", "tiny"])
+def test_dtw_scalar_cost_is_the_absolute_difference(a, b, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dtw(a, b) == want
+        # Three frames against two: every path crosses at least three cells.
+        assert dtw(a * 3, b * 2) == 3 * want
+
+
 def test_dtw_zero_cost_warp():
     assert dtw([1, 2, 3], [1, 2, 2, 3]) == 0.0
     assert brute_force_dtw([1, 2, 3], [1, 2, 2, 3]) == 0.0

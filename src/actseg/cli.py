@@ -38,12 +38,20 @@ log = logging.getLogger("actseg")
 FULL_DTW_WARN_CELLS = 10**9
 
 
+def _integer(text: str) -> int:
+    """An optional '-', then ASCII digits as in the text files; each flag checks its range."""
+    value = dataio.whole_number(text.removeprefix("-"))
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return -value if text.startswith("-") else value
+
+
 def _int_or_auto(text: str):
     if text == AUTO:
         return AUTO
     try:
-        return int(text)
-    except ValueError:
+        return _integer(text)
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"expected a positive integer or {AUTO!r}, "
                                          f"got {text!r}") from None
 
@@ -267,7 +275,7 @@ def _read_split(path: Path) -> list[str]:
             raise dataio.DataError(f"{path}:{lineno}: video {vid!r} listed twice")
         ids[vid] = None
     if not ids:
-        raise ValueError(f"empty split bundle: {path}")
+        raise dataio.DataError(f"{path}: empty split bundle")
     return list(ids)
 
 
@@ -410,18 +418,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, jobs=True):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        p.add_argument("--seed", type=_integer, default=0, help="RNG seed (default 0)")
         if jobs:
-            p.add_argument("--jobs", type=int, default=_default_jobs(),
+            p.add_argument("--jobs", type=_integer, default=_default_jobs(),
                            help="worker pool size for directory inputs")
 
     p = sub.add_parser("detect", help="unsupervised boundary detection from features")
     p.add_argument("features", type=Path, help="feature file (.npy) or directory")
-    p.add_argument("--num-classes", type=int, required=True,
+    p.add_argument("--num-classes", type=_integer, required=True,
                    help="cluster count for the global clustering pass")
     p.add_argument("--b-intrv", type=_int_or_auto, default=AUTO,
                    help="minimum boundary gap in frames, or 'auto'")
-    p.add_argument("--dim-reduce", type=int, default=None,
+    p.add_argument("--dim-reduce", type=_integer, default=None,
                    help="project features to this many dims before scoring")
     p.add_argument("--orientation", choices=[dataio.AUTO_ORIENT, dataio.D_BY_T, dataio.T_BY_D],
                    default=dataio.AUTO_ORIENT)
@@ -460,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vote", help="frame-wise majority vote over predictions")
     p.add_argument("predictions", nargs="+", type=Path,
                    help="two or more prediction files")
-    p.add_argument("--trusted", type=int, default=-1,
+    p.add_argument("--trusted", type=_integer, default=-1,
                    help="0-based index of the tie-breaking source (default: last)")
     p.add_argument("--mapping", type=Path, default=None)
     p.add_argument("--out", type=Path, required=True)
@@ -476,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relabel arbitrary prediction ids before scoring")
     p.add_argument("--splits", nargs="+", type=Path, default=None,
                    help="split bundle files (one video id per line)")
-    p.add_argument("--boundary-tolerance", type=int, default=5)
+    p.add_argument("--boundary-tolerance", type=_integer, default=5)
     p.add_argument("--ignore", nargs="+", default=None,
                    help="class names (ids without a mapping) excluded from scoring")
     p.add_argument("--report", type=Path, default=None,
@@ -486,15 +494,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--segments", type=int, default=5)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--min-len", type=int, default=60)
-    p.add_argument("--max-len", type=int, default=120)
+    p.add_argument("--count", type=_integer, default=5)
+    p.add_argument("--segments", type=_integer, default=5)
+    p.add_argument("--dim", type=_integer, default=16)
+    p.add_argument("--min-len", type=_integer, default=60)
+    p.add_argument("--max-len", type=_integer, default=120)
     p.add_argument("--sigma", type=float, default=0.05)
     p.add_argument("--separation", type=float, default=6.0,
                    help="minimum distance between segment means")
-    p.add_argument("--perturb", type=int, default=0,
+    p.add_argument("--perturb", type=_integer, default=0,
                    help="also write predictions with boundaries shifted up to this many frames")
     add_common(p, jobs=False)
     p.set_defaults(func=_cmd_synth)
@@ -504,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mapping", type=Path, default=None)
     p.add_argument("--out", type=Path, default=None, help="SVG output path")
     p.add_argument("--text", action="store_true", help="print block characters instead")
-    p.add_argument("--width", type=int, default=None)
+    p.add_argument("--width", type=_integer, default=None)
     p.set_defaults(func=_cmd_plot)
 
     return parser

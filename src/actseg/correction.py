@@ -105,8 +105,8 @@ def _clamped_window(idx: tuple[int, ...], pos: int, total: int,
     boundary = idx[pos]
     lo = 0 if pos == 0 else (idx[pos - 1] + boundary) // 2
     hi = total if pos + 1 == len(idx) else (boundary + idx[pos + 1]) // 2
-    lo = max(lo, boundary - b_win // 2, 0)
-    hi = min(hi, boundary + b_win // 2, total)
+    lo = max(lo, boundary - b_win // 2)
+    hi = min(hi, boundary + b_win // 2)
     width = ((hi - lo) // b_seg) * b_seg
     if width < 2 * b_seg:
         return None
@@ -117,16 +117,17 @@ def _clamped_window(idx: tuple[int, ...], pos: int, total: int,
     return WindowState(start, end)
 
 
-def _refine_window(values: np.ndarray, b_seg: int, seed: int):
-    """Shrink the window `values` around the likeliest transition sub-segment.
+def _refine_window(values: np.ndarray, b_seg: int,
+                   seed: int) -> tuple[int | None, tuple[IterationProposals, ...]]:
+    """Shrink the window `values` around the likeliest transition sub-segment,
+    then pin the transition frame with a k=2 clustering of what is left.
 
     The window is a whole number of b_seg wide, and it stays so: every step
     moves its ends by whole sub-segments. Stops when the window cannot be
     narrowed further (width <= 2 * b_seg with no progress) or after
     _MAX_ITERATIONS. Nominations index the first sub-segment of the new
-    action, matching transition_index. Returns the final window [start, end)
-    in frames of `values`, the per-step proposals, and the last step's k=2
-    labels when that step left the window where it was (else None).
+    action, matching transition_index. Returns the frame's offset in
+    `values` (None without a 0 -> 1 step) and the per-step proposals.
 
     Every step's window lies on the first window's sub-segment grid, and
     block_similarity scores each consecutive pair on its own, bit for bit,
@@ -156,9 +157,14 @@ def _refine_window(values: np.ndarray, b_seg: int, seed: int):
             start, end = new_start, new_end
         elif end - start > 2 * b_seg:
             start, end = start + b_seg, end - b_seg
-        else:  # narrow enough for the final frame-level clustering
-            return start, end, tuple(history), clusters
-    return start, end, tuple(history), None
+        else:  # the window stays: this step's labels are the final clustering
+            break
+    else:  # the window moved after its last clustering
+        if end - start < 2:
+            return None, tuple(history)
+        clusters = kmeans(values[start:end], 2, seed)
+    idx = transition_index(clusters)
+    return (None if idx is None else start + idx), tuple(history)
 
 
 def correct_all(feat: FeatureSequence, labels: LabelSequence,
@@ -174,8 +180,6 @@ def correct_all(feat: FeatureSequence, labels: LabelSequence,
     if len(labels) != feat.frames:
         raise ValueError(f"labels length {len(labels)} != feature frames {feat.frames}")
     bounds = boundaries_of(labels)
-    if not bounds:
-        return LabelSequence(labels.labels.copy(), labels.class_count), CorrectionReport(())
     b_win, b_seg = resolve_window_params(cfg, bounds)
     original = labels.labels
     out = original.copy()
@@ -187,15 +191,9 @@ def correct_all(feat: FeatureSequence, labels: LabelSequence,
             continue
         ws, we = window.start, window.end
         values = np.ascontiguousarray(feat.values[ws:we], dtype=np.float64)
-        start, end, history, clusters = _refine_window(values, b_seg, seed)
-        corrected = boundary
-        if end - start >= 2:
-            if clusters is None:
-                clusters = kmeans(values[start:end], 2, seed)
-            idx = transition_index(clusters)
-            if idx is not None:
-                corrected = ws + start + idx
+        offset, history = _refine_window(values, b_seg, seed)
+        corrected = boundary if offset is None else ws + offset
         records.append(BoundaryRecord(boundary, corrected, history, window))
-        out[ws:min(corrected, we)] = original[boundary - 1]
-        out[max(corrected, ws):we] = original[boundary]
+        out[ws:corrected] = original[boundary - 1]
+        out[corrected:we] = original[boundary]
     return LabelSequence(out, labels.class_count), CorrectionReport(tuple(records))

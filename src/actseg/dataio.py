@@ -67,7 +67,7 @@ def _write_all(writes) -> None:
         raise
 
 
-def _whole_number(text: str) -> int | None:
+def whole_number(text: str) -> int | None:
     """The value of `text` if it is ASCII digits only, else None.
 
     int() also reads `1_0`, `+20` and other scripts' digits, none of which
@@ -85,7 +85,7 @@ def class_id(text: str) -> int:
     """A bare class id: ASCII digits whose value fits in int64."""
     if text.startswith("-"):
         raise ValueError(f"negative class id {text!r}")
-    value = _whole_number(text)
+    value = whole_number(text)
     if value is None:
         raise ValueError(f"expected an integer class id, got {text!r}")
     if value >= 2**63:
@@ -254,7 +254,7 @@ def load_mapping(path) -> ClassMapping:
         parts = line.split()
         if len(parts) != 2:
             raise DataError(f"{path}:{lineno}: expected 'index name', got {line!r}")
-        idx = _whole_number(parts[0])
+        idx = whole_number(parts[0])
         if idx is None:
             raise DataError(f"{path}:{lineno}: bad class index {parts[0]!r}")
         if idx in entries:
@@ -311,7 +311,7 @@ def load_boundaries(path) -> BoundarySet:
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
-        value = _whole_number(line.strip())
+        value = whole_number(line.strip())
         if value is None:
             raise DataError(f"{path}:{lineno}: expected an integer frame index, "
                             f"got {line!r}")
@@ -350,4 +350,6 @@ def load_report(path) -> dict[str, float]:
         except ValueError:
             raise DataError(f"{path}:{lineno}: expected a number after '=', "
                             f"got {value.strip()!r}") from None
+    if not out:
+        raise DataError(f"{path}: empty report")
     return out

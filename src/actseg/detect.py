@@ -10,7 +10,7 @@ by averaging nearby survivors into the final boundary list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable
 
 import numpy as np
 
@@ -19,8 +19,6 @@ from .core import (AUTO, BoundarySet, DetectConfig, FeatureSequence, LabelSequen
 # dtw is unused here but stays bound: bench/spans.py wraps actseg.detect.dtw
 # by name.
 from .similarity import Metric, block_similarity, dtw, kmeans  # noqa: F401
-
-MeanSide = Literal["below", "above"]
 
 # Bytes of float64 frames that detect widens and projects at a time (256
 # frames at D = 2048), so it never holds a T x D float64 copy. Of blocks
@@ -61,24 +59,19 @@ def frame_scores(feat: FeatureSequence, metric: Metric) -> np.ndarray:
     return block_similarity(blocks, metric)
 
 
-def mean_filter(scores: np.ndarray, keep: MeanSide) -> BoundarySet:
-    """Boundaries from score positions strictly below or above the mean.
+def mean_filter(scores: np.ndarray) -> BoundarySet:
+    """Boundaries from score positions strictly above the mean.
 
     Score index i maps to boundary i + 1: the later frame starts the new
     segment. The mean is kept inside [min, max], where rounding can push
-    it out, so a series with no spread proposes nothing.
+    it out, so a series with no spread proposes nothing. Rounding is symmetric
+    in sign, so `mean_filter(-x)` keeps exactly the positions below the mean of x.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("empty score series")
     mean = np.clip(scores.mean(), scores.min(), scores.max())
-    if keep == "below":
-        hits = np.flatnonzero(scores < mean)
-    elif keep == "above":
-        hits = np.flatnonzero(scores > mean)
-    else:
-        raise ValueError(f"keep must be 'below' or 'above', got {keep!r}")
-    return BoundarySet(tuple(int(i) + 1 for i in hits))
+    return BoundarySet(tuple(int(i) + 1 for i in np.flatnonzero(scores > mean)))
 
 
 def cluster_bounds(clusters: np.ndarray, num_classes: int) -> BoundarySet:
@@ -186,9 +179,9 @@ def detect(feat: FeatureSequence, cfg: DetectConfig,
     clusters = kmeans(work.values, cfg.num_classes, seed)
     clu_raw = cluster_bounds(clusters, cfg.num_classes)
     cos_scores = frame_scores(work, Metric.COSINE)
-    cos_raw = mean_filter(cos_scores, "below")
+    cos_raw = mean_filter(-cos_scores)
     dtw_scores = frame_scores(work, Metric.DTW)
-    dtw_raw = mean_filter(dtw_scores, "above")
+    dtw_raw = mean_filter(dtw_scores)
 
     if cfg.b_intrv == AUTO:
         b_intrv = auto_b_intrv((cos_raw, dtw_raw, clu_raw), feat.frames)

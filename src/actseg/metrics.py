@@ -139,8 +139,7 @@ def segment_match_counts(pred: LabelSequence, gt: LabelSequence, threshold: floa
 def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
     if tp == 0 and fp == 0 and fn == 0:
         return 100.0
-    denom = 2 * tp + fp + fn
-    return float(100.0 * 2 * tp / denom) if denom else 0.0
+    return float(100.0 * 2 * tp / (2 * tp + fp + fn))
 
 
 def f1_at(pred: LabelSequence, gt: LabelSequence, iou_threshold: float,
@@ -282,8 +281,7 @@ def evaluate_batch(pairs: Sequence[tuple[LabelSequence, LabelSequence]],
     bound_counts = np.zeros(3, dtype=np.int64)
     for pred, gt in pairs:
         _check_lengths(pred, gt)
-        keep = (~np.isin(gt.labels, list(opts.ignore)) if opts.ignore
-                else np.ones(len(gt), dtype=bool))
+        keep = ~np.isin(gt.labels, list(opts.ignore))
         correct += int(np.count_nonzero((pred.labels == gt.labels) & keep))
         frames += int(keep.sum())
         edits.append(edit_score(pred, gt, opts.ignore))

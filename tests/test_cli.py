@@ -264,6 +264,58 @@ def test_bad_input_exit_2_names_file(tmp_path, capsys, bad_input):
     assert f"error: {path}" in err and detail in err
 
 
+def _cut_in_half(path):
+    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+
+
+def _flip_first_byte(path):
+    raw = path.read_bytes()
+    path.write_bytes(bytes([raw[0] ^ 0x80]) + raw[1:])
+
+
+def _insert_line(path):
+    path.write_bytes(b"x y\n" + path.read_bytes())
+
+
+def _delete_first_line(path):
+    path.write_bytes(path.read_bytes().split(b"\n", 1)[1])
+
+
+def _empty(path):
+    path.write_bytes(b"")
+
+
+_SMOOTH_NAMES = ["smooth", "predictions/synth_000.txt", "--mapping", "mapping.txt",
+                 "--s-win", "4", "--out", "o.txt"]
+# kind: (file, mutation, command). Boundary files and eval reports are read by no command.
+_MUTATED_INPUTS = {
+    "features": ("features/synth_000.npy", _cut_in_half,
+                 ["detect", "features/synth_000.npy", "--num-classes", "4",
+                  "--out-bounds", "o.txt"]),
+    "labels_names": ("predictions/synth_000.txt", _flip_first_byte, _SMOOTH_NAMES),
+    "labels_ids": ("ids.txt", _insert_line,
+                   ["smooth", "ids.txt", "--s-win", "4", "--out", "o.txt"]),
+    "mapping": ("mapping.txt", _delete_first_line, _SMOOTH_NAMES),
+    "split": ("splits/all.txt", _empty,
+              ["eval", "predictions", "groundTruth", "--mapping", "mapping.txt",
+               "--splits", "splits/all.txt", "--report", "o.txt"]),
+}
+
+
+@pytest.mark.parametrize("kind", list(_MUTATED_INPUTS))
+def test_mutated_input_exit_2_names_it(synth_dir, capsys, monkeypatch, kind):
+    monkeypatch.chdir(synth_dir)
+    dataio.save_text("ids.txt", "0\n0\n1\n1\n")
+    path, mutate, argv = _MUTATED_INPUTS[kind]
+    assert main(argv) == 0
+    capsys.readouterr()
+    mutate(Path(path))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.fixture()
 def id_predictions(synth_dir):
     """synth_dir plus ids/: bare-id predictions whose ids rotate the classes."""
@@ -515,6 +567,50 @@ def test_removed_inputs_exit_2(tmp_path, capsys, monkeypatch, case):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o.txt").exists()
+
+
+def _integer_flag_inputs(tmp_path):
+    dataio.write_array(tmp_path / "f.npy", np.ones((8, 2)))
+    for path in ("p.txt", "pred/v.txt", "gt/v.txt"):
+        dataio.save_text(tmp_path / path, "0\n0\n0\n0\n1\n1\n1\n1\n")
+
+
+@pytest.mark.parametrize("spelling", ["1_0", "+3", "\u0663", " 3"],
+                         ids=["underscore", "plus", "arabic_indic", "space"])
+@pytest.mark.parametrize("argv", [
+    ["correct", "f.npy", "p.txt", "--out", "o.txt", "--jobs"],
+    ["correct", "f.npy", "p.txt", "--out", "o.txt", "--b-seg", "4", "--b-win"],
+    ["smooth", "p.txt", "--out", "o.txt", "--s-win"],
+    ["eval", "pred", "gt", "--pred-format", "ids", "--report", "o.txt", "--boundary-tolerance"],
+    ["vote", "p.txt", "p.txt", "--out", "o.txt", "--trusted"],
+    ["synth", "--out-dir", "o.txt", "--segments", "2", "--min-len", "2", "--max-len", "3",
+     "--count"],
+], ids=lambda argv: argv[-1])
+def test_integer_flags_parse_like_files(tmp_path, capsys, monkeypatch, argv, spelling):
+    monkeypatch.chdir(tmp_path)
+    _integer_flag_inputs(tmp_path)
+    assert main([*argv, spelling]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-1]}: expected" in err and f"got {spelling!r}" in err
+    assert not (tmp_path / "o.txt").exists()
+
+
+def test_integer_flags_take_a_minus_sign(tmp_path, monkeypatch):
+    # ranges stay with each flag's user: test_synth_bad_count_exit_2 sees `--perturb -2`
+    monkeypatch.chdir(tmp_path)
+    _integer_flag_inputs(tmp_path)
+    assert main(["vote", "p.txt", "p.txt", "--trusted", "-1", "--out", "o.txt"]) == 0
+
+
+def test_no_parser_action_uses_bare_int():
+    def actions(parser):
+        for action in parser._actions:
+            yield action
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from actions(sub)
+
+    assert [a.dest for a in actions(cli.build_parser()) if a.type is int] == []
 
 
 def test_window_flag_text_exit_2(tmp_path, capsys):

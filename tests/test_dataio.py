@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from actseg import dataio
+from actseg.cli import _read_split
 from actseg.core import BoundarySet, FeatureSequence, LabelSequence
-from actseg.metrics import evaluate
+from actseg.metrics import THRESHOLDS, EvalResult, evaluate
 
 
 def test_features_round_trip_f8(tmp_path):
@@ -407,6 +408,102 @@ def test_text_loaders_return_or_name_the_file(tmp_path_factory, raw):
             load(path)
         except ValueError as exc:
             assert str(exc).startswith(f"{path}:"), exc
+
+
+# ------------------------------------------- generated files, then mutated
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _valid_npy(path, data):
+    arr, orientation = data.draw(_feature_files())
+    dataio.write_array(path, arr, arr.dtype.str)
+    return lambda p: dataio.load_features(p, orientation), FeatureSequence
+
+
+# Names of printable, non-space characters: every one is a valid class name.
+_MAPPINGS = st.lists(st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1,
+                             max_size=6), min_size=1, max_size=6, unique=True).map(
+    lambda names: dataio.ClassMapping(tuple(names)))
+
+
+def _valid_labels(mapped):
+    def write(path, data):
+        mapping = data.draw(_MAPPINGS) if mapped else None
+        count = len(mapping) if mapped else data.draw(st.integers(1, 2**63 - 1))
+        ids = data.draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=20))
+        dataio.save_labels(path, LabelSequence(np.array(ids), count), mapping)
+        return lambda p: dataio.load_labels(p, mapping), LabelSequence
+    return write
+
+
+def _valid_boundaries(path, data):
+    cuts = data.draw(st.sets(st.integers(1, 10**6), max_size=12))
+    dataio.save_boundaries(path, BoundarySet(tuple(sorted(cuts))))
+    return dataio.load_boundaries, BoundarySet
+
+
+def _valid_mapping(path, data):
+    dataio.save_mapping(path, data.draw(_MAPPINGS))
+    return dataio.load_mapping, dataio.ClassMapping
+
+
+def _valid_split(path, data):
+    # No id can end in .txt or .npy, so a suffix never makes two ids one.
+    ids = data.draw(st.lists(st.text("ab01_.-", min_size=1, max_size=8).filter(
+        lambda v: v != "."), min_size=1, max_size=8, unique=True))
+    suffixes = data.draw(st.lists(st.sampled_from(["", "", ".txt", ".npy"]),
+                                  min_size=len(ids), max_size=len(ids)))
+    dataio.save_text(path, "".join(f"{v}{s}\n" for v, s in zip(ids, suffixes)))
+    return _read_split, list
+
+
+def _valid_report(path, data):
+    dataio.save_report(path, EvalResult(data.draw(_FLOATS), data.draw(_FLOATS),
+                                        {t: data.draw(_FLOATS) for t in THRESHOLDS},
+                                        data.draw(_FLOATS)))
+    return dataio.load_report, dict
+
+
+_VALID_FILES = {"npy": _valid_npy, "labels_ids": _valid_labels(False),
+                "labels_names": _valid_labels(True), "boundaries": _valid_boundaries,
+                "mapping": _valid_mapping, "split": _valid_split, "report": _valid_report}
+_LINES = st.sampled_from([b"", b"0", b"-1", b"1_0", b"+2", b"a", b"x y", b"acc=1", b"=",
+                          b"\xff", "\u0663".encode(), b"\r"]) | st.binary(max_size=6)
+
+
+def _mutated(raw: bytes, data) -> bytes:
+    """`raw` truncated, with one bit flipped, or with a line inserted or deleted."""
+    lines = raw.split(b"\n")
+    kinds = ["truncate", "insert"] + (["flip", "delete"] if raw else [])
+    kind = data.draw(st.sampled_from(kinds), label="mutation")
+    if kind == "truncate":
+        return raw[:data.draw(st.integers(0, max(len(raw) - 1, 0)))]
+    if kind == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1))
+        return raw[:at] + bytes([raw[at] ^ (1 << data.draw(st.integers(0, 7)))]) + raw[at + 1:]
+    at = data.draw(st.integers(0, len(lines) - (kind == "delete")))
+    if kind == "insert":
+        return b"\n".join(lines[:at] + [data.draw(_LINES).replace(b"\n", b"")] + lines[at:])
+    return b"\n".join(lines[:at] + lines[at + 1:])
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # NumPy re-tokenizing an odd header
+@pytest.mark.parametrize("kind", list(_VALID_FILES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_file_loads_or_names_itself(tmp_path_factory, kind, data):
+    path = tmp_path_factory.mktemp(kind) / "in.txt"
+    load, want = _VALID_FILES[kind](path, data)
+    assert isinstance(load(path), want)
+    path.write_bytes(_mutated(path.read_bytes(), data))
+    try:
+        got = load(path)
+    except dataio.DataError as exc:
+        assert str(exc).startswith(f"{path}"), exc
+    else:
+        assert isinstance(got, want)
+        assert got or kind == "boundaries"
 
 
 def test_report_round_trip(tmp_path):

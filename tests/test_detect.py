@@ -52,16 +52,33 @@ def test_single_frame_errors():
 # ------------------------------------------------------------- mean_filter
 
 def test_mean_filter_below():
-    assert mean_filter(np.array([1.0, 1.0, 0.0, 1.0]), "below").indices == (3,)
+    # a dip below the mean is a peak of the negated series
+    assert mean_filter(-np.array([1.0, 1.0, 0.0, 1.0])).indices == (3,)
 
 
 def test_mean_filter_all_equal_empty():
-    assert mean_filter(np.ones(5), "below").indices == ()
-    assert mean_filter(np.ones(5), "above").indices == ()
+    assert mean_filter(np.ones(5)).indices == ()
+    assert mean_filter(-np.ones(5)).indices == ()
 
 
 def test_mean_filter_above():
-    assert mean_filter(np.array([0.0, 0.0, 9.0]), "above").indices == (3,)
+    assert mean_filter(np.array([0.0, 0.0, 9.0])).indices == (3,)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FINITE, min_size=1, max_size=40)
+       | st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 5e-324, 1e308]),
+                  min_size=1, max_size=40)
+       | st.builds(lambda value, count: [value] * count, _FINITE, st.integers(1, 40)))
+def test_mean_filter_of_negation_keeps_positions_below_the_mean(values):
+    x = np.array(values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # a sum of large values may overflow to inf
+        got = mean_filter(-x).indices
+        mean = np.clip(x.mean(), x.min(), x.max())
+    assert got == tuple(int(i) + 1 for i in np.flatnonzero(x < mean))
 
 
 # ---------------------------------------------------------- cluster_bounds
@@ -246,6 +263,14 @@ def test_detect_returns_its_clusters(dim_reduce):
     assert cluster_bounds(props.clusters, 3).indices[0] == 40
     if dim_reduce is None:
         assert np.array_equal(props.clusters, kmeans(feat.values, 3, seed=2))
+
+
+def test_detect_keeps_the_cosine_series_not_its_negation():
+    feat, bounds = step_features([40, 50], sigma=0.05, seed=12)
+    _, props = detect(feat, DetectConfig(num_classes=2, b_intrv=20), seed=0)
+    wide = FeatureSequence(feat.values.astype(np.float64))
+    assert np.array_equal(props.cosine_scores, frame_scores(wide, Metric.COSINE))
+    assert bounds.indices[0] in props.cosine_bounds.indices
 
 
 def test_segment_labels_cover_segments():

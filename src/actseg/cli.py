@@ -15,9 +15,8 @@ from __future__ import annotations
 import argparse
 import logging
 import os
-import shutil
 import sys
-import tempfile
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,6 +43,14 @@ def _integer(text: str) -> int:
     if value is None:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     return -value if text.startswith("-") else value
+
+
+def _decimal(text: str) -> float:
+    """A finite number as the report files write it; each flag checks its range."""
+    value = dataio.decimal_number(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected a decimal number, got {text!r}")
+    return value
 
 
 def _int_or_auto(text: str):
@@ -186,11 +193,12 @@ def _cmd_detect(args) -> int:
             bounds, props = detect(feat, cfg, seed=args.seed)
         except ValueError as exc:
             raise dataio.DataError(f"{path}: {exc}") from None
-        texts = {_target(args.out_bounds, batch, vid, ".txt"): dataio.format_boundaries(bounds)}
+        outputs = [(_target(args.out_bounds, batch, vid, ".txt"),
+                    dataio.format_boundaries(bounds))]
         if args.out_labels:
-            texts[_target(args.out_labels, batch, vid, ".txt")] = dataio.format_labels(
-                majority_labels(props.clusters, bounds, cfg.num_classes))
-        dataio.save_texts(texts)
+            outputs.append((_target(args.out_labels, batch, vid, ".txt"), dataio.format_labels(
+                majority_labels(props.clusters, bounds, cfg.num_classes))))
+        dataio.save_all(outputs)
         return (f"{vid}: b_intrv={props.resolved_b_intrv} proposals "
                 f"cosine={len(props.cosine_bounds)} dtw={len(props.dtw_bounds)} "
                 f"cluster={len(props.cluster_bounds)} -> {len(bounds)} boundaries",
@@ -219,11 +227,12 @@ def _cmd_correct(args) -> int:
             corrected, report = correct_all(feat, labels, cfg, seed=args.seed)
         except ValueError as exc:
             raise dataio.DataError(f"{ppath} vs {fpath}: {exc}") from None
-        texts = {_target(args.out, batch, vid, ".txt"): dataio.format_labels(corrected, mapping)}
+        outputs = [(_target(args.out, batch, vid, ".txt"),
+                    dataio.format_labels(corrected, mapping))]
         if args.report:
-            texts[_target(args.report, batch, vid, ".txt")] = "".join(
-                f"{r.original} {r.corrected} {r.iterations}\n" for r in report.records)
-        dataio.save_texts(texts)
+            outputs.append((_target(args.report, batch, vid, ".txt"), "".join(
+                f"{r.original} {r.corrected} {r.iterations}\n" for r in report.records)))
+        dataio.save_all(outputs)
         return f"{vid}: moved {report.moved()} of {len(report.records)} boundaries", None
 
     return _each_video(args.jobs, paired, run)[0]
@@ -360,39 +369,40 @@ def _cmd_synth(args) -> int:
     spec = SynthSpec(dim=args.dim, num_segments=args.segments,
                      length_range=(args.min_len, args.max_len),
                      mean_separation=args.separation, noise_sigma=args.sigma, seed=args.seed)
-    out = Path(args.out_dir)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    # Build in a temporary sibling and move it into place only once every
-    # video is written, so a failure leaves nothing behind.
-    tmp = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
+    out = args.out_dir
+    # The directories this call makes, deepest first: a failure removes them
+    # again if they are still empty. Those that already exist stay.
+    made = [d for d in (*(out / sub for sub in _SYNTH_DIRS), out, *out.parents)
+            if not d.exists()]
     try:
-        _write_synth(tmp, args, spec, mapping)
-        for src in sorted(tmp.rglob("*")):  # each directory before its files
-            dst = out / src.relative_to(tmp)
-            if src.is_dir():
-                dst.mkdir(parents=True, exist_ok=True)
-            else:
-                os.replace(src, dst)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+        dataio.save_all(_synth_files(out, args, spec, mapping))
+    except BaseException:
+        for directory in made:
+            with suppress(OSError):  # not empty, or never made
+                directory.rmdir()
+        raise
     log.info("wrote %d synthetic videos under %s", args.count, out)
     return 0
 
 
-def _write_synth(out: Path, args, spec: SynthSpec, mapping: dataio.ClassMapping) -> None:
-    dataio.save_mapping(out / "mapping.txt", mapping)
+_SYNTH_DIRS = ("features", "groundTruth", "bounds", "predictions", "splits")
+
+
+def _synth_files(out: Path, args, spec: SynthSpec, mapping: dataio.ClassMapping):
+    """Yield the corpus' `(path, content)` pairs, generating one video at a time."""
+    yield out / "mapping.txt", dataio.format_mapping(mapping)
     ids = []
     for i in range(args.count):
         vid = f"synth_{i:03d}"
         feat, labels, bounds = generate(replace(spec, seed=args.seed + i))
-        dataio.save_features(out / "features" / f"{vid}.npy", feat)
-        dataio.save_labels(out / "groundTruth" / f"{vid}.txt", labels, mapping)
-        dataio.save_boundaries(out / "bounds" / f"{vid}.txt", bounds)
+        yield out / "features" / f"{vid}.npy", feat.values
+        yield out / "groundTruth" / f"{vid}.txt", dataio.format_labels(labels, mapping)
+        yield out / "bounds" / f"{vid}.txt", dataio.format_boundaries(bounds)
         if args.perturb > 0:
             noisy = perturb_boundaries(labels, args.perturb, seed=args.seed + 1000 + i)
-            dataio.save_labels(out / "predictions" / f"{vid}.txt", noisy, mapping)
+            yield out / "predictions" / f"{vid}.txt", dataio.format_labels(noisy, mapping)
         ids.append(vid)
-    dataio.save_text(out / "splits" / "all.txt", "".join(f"{v}\n" for v in ids))
+    yield out / "splits" / "all.txt", "".join(f"{v}\n" for v in ids)
 
 
 # ---------------------------------------------------------------- plot
@@ -499,8 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_integer, default=16)
     p.add_argument("--min-len", type=_integer, default=60)
     p.add_argument("--max-len", type=_integer, default=120)
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--separation", type=float, default=6.0,
+    p.add_argument("--sigma", type=_decimal, default=0.05)
+    p.add_argument("--separation", type=_decimal, default=6.0,
                    help="minimum distance between segment means")
     p.add_argument("--perturb", type=_integer, default=0,
                    help="also write predictions with boundaries shifted up to this many frames")

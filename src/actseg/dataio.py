@@ -7,14 +7,17 @@ C order, 2-D, whole non-negative dimensions, a header under 10 000 bytes.
 Everything else is rejected with a message that names the file. Labels are
 one class name per line; boundaries one integer per line; mappings one
 "index name" pair per line, all UTF-8 text, with every integer written
-in ASCII digits. All writes are atomic (temp file + rename) and create
-the output's directory; `save_texts` writes several files as one unit.
+in ASCII digits. Every write goes through `save_all`, which writes one or
+many files as one unit: each to a hidden sibling, renamed into place once
+all are written, each output's directory made on the way.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,17 +57,31 @@ def _write_all(writes) -> None:
             path = Path(path)
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            staged.append((tmp, path))
-            with os.fdopen(fd, "wb") as handle:
-                write(handle)
+            with _naming(path):
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                staged.append((tmp, path))
+                with os.fdopen(fd, "wb") as handle:
+                    write(handle)
         for tmp, path in staged:
-            os.replace(tmp, path)
+            with _naming(path):
+                os.replace(tmp, path)
             placed += 1
     except BaseException:
         for i, (tmp, path) in enumerate(staged):
             (path if i < placed else tmp).unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def _naming(path: Path):
+    """Re-raise an OSError with `path` as its file name: the hidden sibling's
+    random name would make each run's message differ."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def whole_number(text: str) -> int | None:
@@ -81,6 +98,23 @@ def whole_number(text: str) -> int | None:
         return None
 
 
+_DECIMAL = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", re.ASCII)
+
+
+def decimal_number(text: str) -> float | None:
+    """The value of `text` if it is finite and spelled as ASCII digits with an
+    optional '-', at most one '.' and an optional exponent, else None.
+
+    That reads every repr() of a finite float. float() also reads `1_0`,
+    `+3`, ` 3`, other scripts' digits, `nan` and `inf`, none of which the
+    writers produce.
+    """
+    if _DECIMAL.fullmatch(text) is None:
+        return None
+    value = float(text)
+    return value if math.isfinite(value) else None  # `1e999` overflows
+
+
 def class_id(text: str) -> int:
     """A bare class id: ASCII digits whose value fits in int64."""
     if text.startswith("-"):
@@ -93,15 +127,32 @@ def class_id(text: str) -> int:
     return value
 
 
-def save_texts(texts: dict) -> None:
-    """Write each `{path: text}` item as UTF-8; all of them or none."""
-    _write_all([(path, lambda handle, data=text.encode(): handle.write(data))
-                for path, text in texts.items()])
+def save_all(outputs) -> None:
+    """Write each `(path, content)` pair; all of them or none.
+
+    A str is written as UTF-8, a float32/float64 array as NPY v1.0 in C
+    order. Pairs are read one at a time, so a generator of them holds only
+    the content it has yet to yield.
+    """
+    _write_all((path, _writer(path, content)) for path, content in outputs)
+
+
+def _writer(path, content):
+    if isinstance(content, str):
+        data = content.encode()
+        return lambda handle: handle.write(data)
+    if content.dtype.str not in SUPPORTED_DESCRS:
+        raise DataError(f"{path}: unsupported dtype {content.dtype.str!r} "
+                        f"(supported: {', '.join(SUPPORTED_DESCRS)})")
+    # NumPy writes an F-contiguous input (a transpose) in Fortran order,
+    # which read_array refuses.
+    return lambda handle: npy_format.write_array(
+        handle, np.ascontiguousarray(content), (1, 0), allow_pickle=False)
 
 
 def save_text(path, text: str) -> None:
     """Write `text` as UTF-8, atomically."""
-    save_texts({path: text})
+    save_all([(path, text)])
 
 
 def read_text(path) -> str:
@@ -169,14 +220,7 @@ def read_array(path) -> np.ndarray:
 
 def write_array(path, array: np.ndarray, descr: str = "<f8") -> None:
     """Write an NPY v1.0 array with the given on-disk dtype, in C order."""
-    if descr not in SUPPORTED_DESCRS:
-        raise DataError(f"unsupported dtype {descr!r} "
-                        f"(supported: {', '.join(SUPPORTED_DESCRS)})")
-    # NumPy writes an F-contiguous input (a transpose) in Fortran order,
-    # which read_array refuses.
-    arr = np.ascontiguousarray(array, dtype=descr)
-    _write_all([(path, lambda handle: npy_format.write_array(
-        handle, arr, (1, 0), allow_pickle=False))])
+    save_all([(path, np.ascontiguousarray(array, dtype=descr))])
 
 
 def _transposed(path: Path, shape: tuple[int, ...], orientation: str) -> bool:
@@ -207,10 +251,6 @@ def load_features(path, orientation: str = AUTO_ORIENT) -> FeatureSequence:
         return FeatureSequence(arr)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
-
-
-def save_features(path, feat: FeatureSequence, descr: str = "<f8") -> None:
-    write_array(path, feat.values, descr)
 
 
 @dataclass(frozen=True)
@@ -271,7 +311,11 @@ def load_mapping(path) -> ClassMapping:
 
 
 def save_mapping(path, mapping: ClassMapping) -> None:
-    save_text(path, "".join(f"{i} {name}\n" for i, name in enumerate(mapping.names)))
+    save_text(path, format_mapping(mapping))
+
+
+def format_mapping(mapping: ClassMapping) -> str:
+    return "".join(f"{i} {name}\n" for i, name in enumerate(mapping.names))
 
 
 def load_labels(path, mapping: ClassMapping | None = None) -> LabelSequence:
@@ -345,11 +389,11 @@ def load_report(path) -> dict[str, float]:
         key, sep, value = line.partition("=")
         if not sep:
             raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        try:
-            out[key.strip()] = float(value)
-        except ValueError:
+        number = decimal_number(value)
+        if number is None:
             raise DataError(f"{path}:{lineno}: expected a number after '=', "
-                            f"got {value.strip()!r}") from None
+                            f"got {value!r}")
+        out[key.strip()] = number
     if not out:
         raise DataError(f"{path}: empty report")
     return out

@@ -354,7 +354,7 @@ def test_criterion_8_io_round_trips(tmp_path):
             raw = raw.astype(np.float32)
         feat = FeatureSequence(raw)
         path = tmp_path / f"feat_{i}.npy"
-        dataio.save_features(path, feat, descr=descr)
+        dataio.write_array(path, feat.values, descr)
         if not np.array_equal(dataio.load_features(path, dataio.T_BY_D).values,
                               feat.values):
             _verdict(8, "io round trips", False, f"features case {i} ({descr})")

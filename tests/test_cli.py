@@ -472,17 +472,55 @@ def test_synth_bad_spec_writes_nothing(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["--segments", "48", "--dim", "1"],  # no room for 48 separated means
-    # synth_000 and synth_001 are written before synth_002 cannot be perturbed
-    ["--count", "3", "--segments", "3", "--dim", "4", "--min-len", "10",
-     "--max-len", "30", "--perturb", "6", "--seed", "0"],
-], ids=["means", "perturb"])
-def test_synth_failure_leaves_nothing(tmp_path, capsys, argv):
+def _snapshot(root):
+    """Every file and directory under `root`: a file's bytes, None for a directory."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["--segments", "48", "--dim", "1"], None),  # no room for 48 separated means
+    # synth_000 and synth_001 are generated before synth_002 cannot be perturbed
+    (["--count", "3", "--segments", "3", "--dim", "4", "--min-len", "10",
+      "--max-len", "30", "--perturb", "6", "--seed", "0"], None),
+    # every file is staged, and some renamed, before synth_001.npy meets a directory
+    (["--count", "3", "--segments", "3", "--dim", "4", "--min-len", "20",
+      "--max-len", "30", "--perturb", "2"], Path("features", "synth_001.npy")),
+], ids=["means", "perturb", "blocked"])
+def test_synth_failure_leaves_nothing(tmp_path, capsys, argv, blocked):
     out = tmp_path / "o"
+    if blocked:
+        (out / blocked).mkdir(parents=True)
+    before = _snapshot(tmp_path)
     assert main(["synth", "--out-dir", str(out), *argv]) == 2
-    assert "error: " in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert "error: " in err
+    if blocked:
+        assert f"error: [Errno 21] Is a directory: '{out / blocked}'\n" in err
+    assert _snapshot(tmp_path) == before
+
+
+def test_synth_failure_removes_only_the_directories_it_made(tmp_path, capsys):
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    out = kept / "a" / "b" / "o"
+    assert main(["synth", "--out-dir", str(out), "--segments", "48", "--dim", "1"]) == 2
+    assert "error: infeasible spec" in capsys.readouterr().err
+    assert _snapshot(tmp_path) == {Path("kept"): None}
+
+
+def test_write_error_names_the_output(tmp_path, capsys):
+    labels, odir = tmp_path / "x.txt", tmp_path / "odir"
+    labels.write_text("0\n0\n1\n")
+    odir.mkdir()  # a directory where the output file goes
+    errors = []
+    for _ in range(2):
+        assert main(["smooth", str(labels), "--s-win", "2", "--out", str(odir)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert f"error: [Errno 21] Is a directory: '{odir}'\n" in errors[0]
+    assert f".{odir.name}." not in errors[0]
+    assert _snapshot(tmp_path) == {Path("x.txt"): b"0\n0\n1\n", Path("odir"): None}
 
 
 def test_synth_into_existing_dir(synth_dir, tmp_path):
@@ -583,8 +621,8 @@ def _integer_flag_inputs(tmp_path):
     ["smooth", "p.txt", "--out", "o.txt", "--s-win"],
     ["eval", "pred", "gt", "--pred-format", "ids", "--report", "o.txt", "--boundary-tolerance"],
     ["vote", "p.txt", "p.txt", "--out", "o.txt", "--trusted"],
-    ["synth", "--out-dir", "o.txt", "--segments", "2", "--min-len", "2", "--max-len", "3",
-     "--count"],
+    *(["synth", "--out-dir", "o.txt", "--segments", "2", "--min-len", "2", "--max-len", "3",
+       flag] for flag in ("--count", "--sigma", "--separation")),
 ], ids=lambda argv: argv[-1])
 def test_integer_flags_parse_like_files(tmp_path, capsys, monkeypatch, argv, spelling):
     monkeypatch.chdir(tmp_path)

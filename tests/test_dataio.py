@@ -17,7 +17,7 @@ def test_features_round_trip_f8(tmp_path):
     rng = np.random.default_rng(0)
     feat = FeatureSequence(rng.normal(size=(17, 5)))
     path = tmp_path / "a.npy"
-    dataio.save_features(path, feat)
+    dataio.write_array(path, feat.values)
     again = dataio.load_features(path, dataio.T_BY_D)
     assert np.array_equal(again.values, feat.values)
 
@@ -26,7 +26,7 @@ def test_features_round_trip_f4(tmp_path):
     rng = np.random.default_rng(1)
     feat = FeatureSequence(rng.normal(size=(9, 3)).astype(np.float32))
     path = tmp_path / "b.npy"
-    dataio.save_features(path, feat, descr="<f4")
+    dataio.write_array(path, feat.values, "<f4")
     again = dataio.load_features(path, dataio.T_BY_D)
     assert np.array_equal(again.values, feat.values)
 
@@ -380,9 +380,19 @@ def test_mapping_requires_contiguous_ids(tmp_path):
     (dataio.load_boundaries, "\u0663\u0660\n".encode(), ":1: expected an integer frame index"),
     (dataio.load_mapping, b"+0 a\n1 b\n", ":1: bad class index '+0'"),
     (dataio.load_mapping, b"0 a\n0_1 b\n", ":2: bad class index '0_1'"),
+    # Report values are ASCII decimals only: float() would read all of these.
+    (dataio.load_report, b"acc=1_0\n", ":1: expected a number after '=', got '1_0'"),
+    (dataio.load_report, b"acc=+3\n", ":1: expected a number after '=', got '+3'"),
+    (dataio.load_report, b"acc= 3\n", ":1: expected a number after '=', got ' 3'"),
+    (dataio.load_report, "acc=1\nedit=\u0663\n".encode(), ":2: expected a number after '='"),
+    (dataio.load_report, b"f1_10=nan\n", ":1: expected a number after '=', got 'nan'"),
+    (dataio.load_report, b"acc=-inf\n", ":1: expected a number after '=', got '-inf'"),
+    (dataio.load_report, b"acc=1e999\n", ":1: expected a number after '=', got '1e999'"),
 ], ids=["labels", "mapping", "boundaries", "labels_underscore", "labels_plus",
         "labels_arabic_indic", "labels_minus_zero", "boundaries_underscore",
-        "boundaries_plus", "boundaries_arabic_indic", "mapping_plus", "mapping_underscore"])
+        "boundaries_plus", "boundaries_arabic_indic", "mapping_plus", "mapping_underscore",
+        "report_underscore", "report_plus", "report_space", "report_arabic_indic",
+        "report_nan", "report_inf", "report_overflow"])
 def test_text_errors_name_the_file(tmp_path, load, raw, detail):
     path = tmp_path / "in.txt"
     path.write_bytes(raw)
@@ -504,6 +514,12 @@ def test_mutated_file_loads_or_names_itself(tmp_path_factory, kind, data):
     else:
         assert isinstance(got, want)
         assert got or kind == "boundaries"
+
+
+@given(_FLOATS)
+def test_report_values_read_every_float_repr(value):
+    assert dataio.decimal_number(repr(value)) == value
+    assert dataio.decimal_number(".5") == 0.5
 
 
 def test_report_round_trip(tmp_path):

@@ -54,3 +54,32 @@ def test_imports_are_stdlib_numpy_or_the_package():
                 imported.append((path.name, node.module))
     assert len(imported) > 10
     assert [(m, name) for m, name in imported if name.split(".")[0] not in allowed] == []
+
+
+def _file_writes(tree: ast.Module) -> list[str]:
+    """Imports of tempfile or shutil, and calls that open, write or rename files."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.split(".")[0] in ("tempfile", "shutil")]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("tempfile", "shutil"):
+            found.append(node.module)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "open"
+                    or isinstance(func, ast.Attribute)
+                    and (func.attr in ("write_text", "write_bytes")
+                         or func.attr in ("replace", "rename", "open")
+                         and isinstance(func.value, ast.Name) and func.value.id == "os")):
+                found.append(ast.unparse(func))
+    return found
+
+
+def test_only_dataio_opens_or_renames_files():
+    # dataio._write_all stages every output and removes it on failure; a
+    # second writer would need a second cleanup.
+    writers = {path.name: _file_writes(ast.parse(path.read_text(), str(path)))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert writers.pop("dataio.py")  # the scan sees dataio's own writes
+    assert {name: found for name, found in writers.items() if found} == {}

@@ -331,8 +331,7 @@ def _cmd_eval(args) -> int:
         try:
             result = evaluate_batch([pairs[vid] for vid in ids], opts)
         except ValueError as exc:
-            if not ignore:
-                raise
+            # Lengths and tolerance are checked: only --ignore can leave no ground truth.
             raise ValueError(f"--ignore {' '.join(args.ignore)}: {exc} in {source}") from None
         rows.append((name, result))
     if args.splits:
@@ -408,13 +407,13 @@ def _synth_files(out: Path, args, spec: SynthSpec, mapping: dataio.ClassMapping)
 # ---------------------------------------------------------------- plot
 
 def _cmd_plot(args) -> int:
+    if not (args.text or args.out):
+        raise ValueError("plot needs --out FILE.svg (or --text)")
     mapping = _load_mapping(args)
     rows = [(p.stem, dataio.load_labels(p, mapping)) for p in args.labels]
     if args.text:
         sys.stdout.write(render_text(rows, args.width if args.width is not None else 72))
         return 0
-    if not args.out:
-        raise ValueError("plot needs --out FILE.svg (or --text)")
     dataio.save_text(args.out, render_svg(rows, args.width if args.width is not None else 1000))
     return 0
 

@@ -71,7 +71,7 @@ class FeatureSequence:
 
 @dataclass(frozen=True, eq=False)
 class LabelSequence:
-    """Length-T vector of dense integer class ids in [0, class_count)."""
+    """Length-T vector of dense integer class ids in [0, class_count), T >= 1."""
 
     labels: np.ndarray
     class_count: int
@@ -80,9 +80,11 @@ class LabelSequence:
         arr = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
         if arr.ndim != 1:
             raise ValueError(f"labels must be a 1-D vector, got shape {arr.shape}")
+        if arr.size == 0:
+            raise ValueError("empty sequence")
         if self.class_count < 1:
             raise ValueError(f"class_count must be >= 1, got {self.class_count}")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.class_count):
+        if arr.min() < 0 or arr.max() >= self.class_count:
             raise ValueError(f"label outside [0, {self.class_count}) in sequence")
         object.__setattr__(self, "labels", _freeze(arr))
 
@@ -135,24 +137,27 @@ class Segment:
     end: int    # exclusive
 
 
+def runs(values) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end (exclusive) index of each maximal run of equal values in
+    a 1-D array, in order; an empty array has no runs."""
+    arr = np.asarray(values)
+    change = np.flatnonzero(arr[1:] != arr[:-1]) + 1
+    if arr.size == 0:
+        return change, change
+    return np.concatenate(([0], change)), np.concatenate((change, [arr.size]))
+
+
 def to_timeline(labels: LabelSequence) -> tuple[Segment, ...]:
     """Run-length encode a label sequence: the segments tile [0, T) in order,
     and neighbouring segments differ in class."""
     arr = labels.labels
-    if arr.size == 0:
-        raise ValueError("empty sequence")
-    change = np.flatnonzero(arr[1:] != arr[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [arr.size]))
-    return tuple(Segment(int(arr[s]), int(s), int(e)) for s, e in zip(starts, ends))
+    starts, ends = runs(arr)
+    return tuple(map(Segment, arr[starts].tolist(), starts.tolist(), ends.tolist()))
 
 
 def boundaries_of(labels: LabelSequence) -> BoundarySet:
     """Frame indices i where labels[i] != labels[i-1]."""
-    arr = labels.labels
-    if arr.size == 0:
-        raise ValueError("empty sequence")
-    return BoundarySet(tuple(int(i) for i in np.flatnonzero(arr[1:] != arr[:-1]) + 1))
+    return BoundarySet(tuple(runs(labels.labels)[0][1:].tolist()))
 
 
 def from_boundaries(bounds: BoundarySet, labels_per_segment: Sequence[int],
@@ -165,17 +170,14 @@ def from_boundaries(bounds: BoundarySet, labels_per_segment: Sequence[int],
     edges = [0, *bounds.indices, frames]
     if edges[-2] >= frames:
         raise ValueError(f"boundary {edges[-2]} outside [1, {frames - 1}]")
-    arr = np.empty(frames, dtype=np.int64)
-    for cls, start, end in zip(classes, edges[:-1], edges[1:]):
-        arr[start:end] = cls
     if class_count is None:
         class_count = max(classes) + 1
-    return LabelSequence(arr, class_count)
+    return LabelSequence(np.repeat(classes, np.diff(edges)), class_count)
 
 
 def run_classes(labels: LabelSequence) -> list[int]:
     """Ordered segment classes of a label sequence."""
-    return [seg.label for seg in to_timeline(labels)]
+    return labels.labels[runs(labels.labels)[0]].tolist()
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ all are written, each output's directory made on the way.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import re
@@ -45,7 +46,8 @@ class DataError(ValueError):
 def _write_all(writes) -> None:
     """For each `(path, write)` pair, make `path`'s directory and call
     `write(handle)` on a new hidden sibling; once all are written, rename
-    each over its path. A failure removes the siblings and the paths already
+    each over its path. A directory at a path fails the call before the
+    first rename. A later failure removes the siblings and the paths already
     renamed. A sibling is made with mode 0o666 for the umask to narrow, as
     for any new file (tempfile.mkstemp gives 0o600 whatever the umask, and
     reading the umask is a set-and-restore that races with other threads).
@@ -58,6 +60,8 @@ def _write_all(writes) -> None:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
             with _naming(path):
+                if path.is_dir():  # the rename would fail after earlier ones replaced files
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
                 fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                 staged.append((tmp, path))
                 with os.fdopen(fd, "wb") as handle:
@@ -230,9 +234,11 @@ def _transposed(path: Path, shape: tuple[int, ...], orientation: str) -> bool:
     if orientation not in (D_BY_T, T_BY_D, AUTO_ORIENT):
         raise ValueError(f"orientation must be one of {D_BY_T!r}, {T_BY_D!r}, "
                          f"{AUTO_ORIENT!r}, got {orientation!r}")
+    if orientation == AUTO_ORIENT and all(n in KNOWN_FEATURE_WIDTHS for n in shape):
+        raise DataError(f"{path}: shape {shape} reads as frames x dims or dims x frames; "
+                        f"pass --orientation {D_BY_T} or {T_BY_D}")
     return orientation == D_BY_T or (orientation == AUTO_ORIENT
-                                     and shape[0] in KNOWN_FEATURE_WIDTHS
-                                     and shape[1] not in KNOWN_FEATURE_WIDTHS)
+                                     and shape[0] in KNOWN_FEATURE_WIDTHS)
 
 
 def load_features(path, orientation: str = AUTO_ORIENT) -> FeatureSequence:
@@ -240,7 +246,8 @@ def load_features(path, orientation: str = AUTO_ORIENT) -> FeatureSequence:
 
     D_BY_T inputs come back as a transposed view of the file's payload;
     AUTO treats the array as D_BY_T when its first axis matches a known
-    feature width (2048 or 1024) and the second does not.
+    feature width (2048 or 1024) and the second does not, and refuses an
+    array whose two axes both match.
     """
     path = Path(path)
     arr = read_array(path)

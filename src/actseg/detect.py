@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import (AUTO, BoundarySet, DetectConfig, FeatureSequence, LabelSequence,
-                   boundaries_of)
+                   boundaries_of, from_boundaries)
 # dtw is unused here but stays bound: bench/spans.py wraps actseg.detect.dtw
 # by name.
 from .similarity import Metric, block_similarity, dtw, kmeans  # noqa: F401
@@ -203,14 +203,10 @@ def majority_labels(clusters: np.ndarray, bounds: BoundarySet,
     score after optimal label matching. Adjacent segments may share an id;
     a tie goes to the lowest id. Every boundary must lie in [1, T - 1].
     """
-    total = len(clusters)
-    if bounds and bounds.indices[-1] >= total:
-        raise ValueError(f"boundary {bounds.indices[-1]} outside [1, {total - 1}]")
-    edges = [0, *bounds.indices, total]
-    out = np.empty(total, dtype=np.int64)
-    for start, end in zip(edges[:-1], edges[1:]):
-        out[start:end] = np.bincount(clusters[start:end]).argmax()
-    return LabelSequence(out, num_classes)
+    # minlength=1: a segment past the last frame is empty, and from_boundaries names it.
+    classes = [np.bincount(segment, minlength=1).argmax()
+               for segment in np.split(clusters, bounds.indices)]
+    return from_boundaries(bounds, classes, len(clusters), num_classes)
 
 
 def segment_labels(feat: FeatureSequence, bounds: BoundarySet, num_classes: int,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AUTO, LabelSequence, boundaries_of, check_int_or_auto
+from .core import AUTO, LabelSequence, check_int_or_auto, runs
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,8 @@ def auto_s_win(labels: LabelSequence) -> int:
     The sequence start and end count as virtual boundaries, so a video
     with no predicted boundaries uses its full length. Clamped to >= 2.
     """
-    edges = [0, *boundaries_of(labels).indices, len(labels)]
-    max_gap = max(b - a for a, b in zip(edges, edges[1:]))
+    starts, ends = runs(labels.labels)
+    max_gap = int((ends - starts).max())
     return max(2, int(round(max_gap / 10)))
 
 
@@ -107,8 +107,6 @@ def smooth(labels: LabelSequence, cfg: SmoothConfig | None = None) -> LabelSeque
     full W1 stay untouched.
     """
     cfg = cfg or SmoothConfig()
-    if len(labels) == 0:
-        raise ValueError("empty sequence")
     s_win = auto_s_win(labels) if cfg.s_win == AUTO else min(int(cfg.s_win), len(labels) + 1)
     out = labels.labels.copy()
     # No W1 fits past T + 1. Both branches leave a one-class W1 as it is and no

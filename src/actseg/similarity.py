@@ -17,6 +17,8 @@ from enum import Enum
 
 import numpy as np
 
+from .core import runs
+
 # Budget of the blocked kernels, in bytes of float64 cells: one step of
 # block DTW (the differences of one anti-diagonal of the grid, at most one
 # grid row long, across a chunk of pairs) and one block of k-means' squared
@@ -191,11 +193,7 @@ def transition_index(binary_labels) -> int | None:
     None when the sequence contains no 0 -> 1 step.
     """
     seq = np.asarray(binary_labels).ravel()
-    if seq.size == 0:
-        return None
-    change = np.flatnonzero(seq[1:] != seq[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [seq.size]))
+    starts, ends = runs(seq)
     best_len = 0
     best_idx = None
     for i in range(len(starts) - 1):

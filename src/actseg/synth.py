@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundarySet, FeatureSequence, LabelSequence, boundaries_of, from_boundaries, run_classes, to_timeline
+from .core import BoundarySet, FeatureSequence, LabelSequence, from_boundaries, runs
 
 _MAX_MEAN_DRAWS = 10_000
 
@@ -98,16 +98,14 @@ def perturb_boundaries(labels: LabelSequence, max_shift: int, seed: int) -> Labe
     """
     if max_shift < 0:
         raise ValueError(f"max_shift must be >= 0, got {max_shift}")
-    timeline = to_timeline(labels)
-    min_len = min(seg.end - seg.start for seg in timeline)
+    starts, ends = runs(labels.labels)
+    min_len = int((ends - starts).min())
     if max_shift > 0 and 2 * max_shift >= min_len:
         raise ValueError(f"max_shift {max_shift} must be < half the minimum "
                          f"segment length {min_len}")
-    bounds = boundaries_of(labels)
-    if not bounds or max_shift == 0:
+    if len(starts) == 1 or max_shift == 0:
         return LabelSequence(labels.labels.copy(), labels.class_count)
     rng = np.random.default_rng(seed)
-    shifts = rng.integers(-max_shift, max_shift + 1, size=len(bounds))
-    moved = [int(b + s) for b, s in zip(bounds, shifts)]
-    return from_boundaries(BoundarySet(tuple(moved)), run_classes(labels),
-                           len(labels), labels.class_count)
+    shifts = rng.integers(-max_shift, max_shift + 1, size=len(starts) - 1)
+    moved = BoundarySet(tuple((starts[1:] + shifts).tolist()))
+    return from_boundaries(moved, labels.labels[starts], len(labels), labels.class_count)

@@ -242,6 +242,14 @@ def _unhashable_npy_header(tmp_path):
                   "--out-bounds", str(tmp_path / "b.txt")], "bad NPY header at byte 8"
 
 
+def _ambiguous_orientation_npy(tmp_path):
+    # a 1024-frame D x T dump and a 2048-frame T x D file have the same shape
+    path = tmp_path / "square.npy"
+    dataio.write_array(path, np.zeros((2048, 1024), dtype=np.float32), "<f4")
+    return path, ["detect", str(path), "--num-classes", "2",
+                  "--out-bounds", str(tmp_path / "b.txt")], "--orientation"
+
+
 def _sparse_ids_hungarian(tmp_path):
     for sub, text in (("pred", "0\n1000000000000\n0\n"), ("gt", "0\n1\n0\n")):
         (tmp_path / sub).mkdir()
@@ -256,7 +264,7 @@ def _sparse_ids_hungarian(tmp_path):
                                        _negative_label_id, _underscored_label_id,
                                        _oversized_label_id, _huge_npy_header,
                                        _unclosed_npy_header, _unhashable_npy_header,
-                                       _sparse_ids_hungarian])
+                                       _ambiguous_orientation_npy, _sparse_ids_hungarian])
 def test_bad_input_exit_2_names_file(tmp_path, capsys, bad_input):
     path, argv, detail = bad_input(tmp_path)
     assert main(argv) == 2
@@ -431,6 +439,13 @@ def test_plot_text_mode(synth_dir, capsys):
     assert "synth_000" in capsys.readouterr().out
 
 
+def test_plot_checks_usage_before_loading(tmp_path, capsys):
+    names = tmp_path / "names.txt"
+    names.write_text("pour\npour\nstir\n")  # names, and no --mapping to read them
+    assert main(["plot", str(names)]) == 2
+    assert "error: plot needs --out FILE.svg (or --text)" in capsys.readouterr().err
+
+
 def test_plot_empty_labels_exit_2(tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
@@ -483,7 +498,7 @@ def _snapshot(root):
     # synth_000 and synth_001 are generated before synth_002 cannot be perturbed
     (["--count", "3", "--segments", "3", "--dim", "4", "--min-len", "10",
       "--max-len", "30", "--perturb", "6", "--seed", "0"], None),
-    # every file is staged, and some renamed, before synth_001.npy meets a directory
+    # synth_000's files are staged, and none renamed, when synth_001.npy meets a directory
     (["--count", "3", "--segments", "3", "--dim", "4", "--min-len", "20",
       "--max-len", "30", "--perturb", "2"], Path("features", "synth_001.npy")),
 ], ids=["means", "perturb", "blocked"])
@@ -498,6 +513,31 @@ def test_synth_failure_leaves_nothing(tmp_path, capsys, argv, blocked):
     if blocked:
         assert f"error: [Errno 21] Is a directory: '{out / blocked}'\n" in err
     assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["synth", "detect"])
+def test_rerun_into_a_blocked_output_keeps_the_earlier_run(synth_dir, tmp_path, capsys,
+                                                           command):
+    # The rename of an earlier output would replace its old file, which the undo
+    # could then only delete; a directory where an output goes fails first.
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = ["synth", "--out-dir", str(out), "--count", "3", "--segments", "3",
+                "--dim", "4", "--min-len", "20", "--max-len", "30"]
+        blocked = out / "features" / "synth_001.npy"
+    else:
+        argv = ["detect", str(synth_dir / "features"), "--num-classes", "4",
+                "--b-intrv", "20", "--out-bounds", str(out / "bounds"),
+                "--out-labels", str(out / "labels"), "--jobs", "1"]
+        blocked = out / "labels" / "synth_001.txt"
+    assert main(argv) == 0
+    blocked.unlink()
+    blocked.mkdir()  # a directory where the output file goes
+    before = _snapshot(out)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"error: [Errno 21] Is a directory: '{blocked}'\n" in capsys.readouterr().err
+    assert _snapshot(out) == before
 
 
 def test_synth_failure_removes_only_the_directories_it_made(tmp_path, capsys):

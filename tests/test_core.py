@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from actseg.core import (AUTO, BoundarySet, CorrectionConfig, DetectConfig,
                          FeatureSequence, LabelSequence, boundaries_of,
-                         from_boundaries, run_classes, to_timeline)
+                         from_boundaries, run_classes, runs, to_timeline)
 from actseg.correction import correct_all
 from actseg.detect import detect
+from actseg.postprocess import auto_s_win
 
 A, B, C = 0, 1, 2
 
@@ -92,6 +93,8 @@ def test_label_sequence_validation():
         LabelSequence(np.array([0, 3]), 3)
     with pytest.raises(ValueError, match="class_count"):
         LabelSequence(np.array([0]), 0)
+    with pytest.raises(ValueError, match="empty sequence"):
+        LabelSequence(np.array([], dtype=np.int64), 1)
 
 
 def test_feature_sequence_validation():
@@ -174,6 +177,34 @@ def test_timeline_tiles_and_neighbours_differ(values):
         assert a.end == b.start and a.label != b.label
     for s in segs:
         assert s.start < s.end and set(values[s.start:s.end]) == {s.label}
+
+
+def _scan_runs(values):
+    """(value, start, end) of each maximal run, by a plain scan."""
+    found, start = [], 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] != values[start]:
+            found.append((values[start], start, i))
+            start = i
+    return found
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=200))
+def test_every_run_view_equals_a_plain_scan(values):
+    want = _scan_runs(values)
+    ls = seq(values, classes=4)
+    starts, ends = runs(np.array(values))
+    assert list(zip(starts.tolist(), ends.tolist())) == [(s, e) for _, s, e in want]
+    assert [(g.label, g.start, g.end) for g in to_timeline(ls)] == want
+    assert boundaries_of(ls).indices == tuple(s for _, s, _ in want[1:])
+    assert run_classes(ls) == [v for v, _, _ in want]
+    assert auto_s_win(ls) == max(2, int(round(max(e - s for _, s, e in want) / 10)))
+
+
+def test_runs_of_an_empty_array():
+    starts, ends = runs(np.array([], dtype=np.int64))
+    assert starts.size == 0 and ends.size == 0
 
 
 def test_correction_config_invariants():

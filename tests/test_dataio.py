@@ -59,6 +59,19 @@ def test_auto_orientation_1024(tmp_path):
     assert (feat.frames, feat.dim) == (5, 1024)
 
 
+@pytest.mark.parametrize("shape", [(2048, 1024), (1024, 2048), (2048, 2048), (1024, 1024)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_auto_orientation_refuses_two_known_widths(tmp_path, shape):
+    path = tmp_path / "square.npy"
+    dataio.write_array(path, np.zeros(shape, dtype=np.float32), "<f4")
+    with pytest.raises(dataio.DataError) as info:
+        dataio.load_features(path, dataio.AUTO_ORIENT)
+    assert str(info.value).startswith(f"{path}: shape {shape} ")
+    assert "--orientation" in str(info.value)
+    assert dataio.load_features(path, dataio.T_BY_D).values.shape == shape
+    assert dataio.load_features(path, dataio.D_BY_T).values.shape == shape[::-1]
+
+
 def test_t_by_d_kept(tmp_path):
     arr = np.random.default_rng(4).normal(size=(11, 64))
     path = tmp_path / "tall.npy"

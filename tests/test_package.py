@@ -56,6 +56,24 @@ def test_imports_are_stdlib_numpy_or_the_package():
     assert [(m, name) for m, name in imported if name.split(".")[0] not in allowed] == []
 
 
+def _run_length_scans(tree: ast.Module) -> list[str]:
+    """Calls of flatnonzero on a `!=` comparison: the idiom that finds where runs change."""
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "flatnonzero" and node.args
+            and isinstance(node.args[0], ast.Compare)
+            and any(isinstance(op, ast.NotEq) for op in node.args[0].ops)]
+
+
+def test_only_core_run_length_encodes():
+    # core.runs is the one run-length encoder; a second copy would carry its
+    # own edge cases (the empty array, the last run's end).
+    scans = {path.name: _run_length_scans(ast.parse(path.read_text(), str(path)))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert scans.pop("core.py")  # the scan sees core's own encoder
+    assert {name: found for name, found in scans.items() if found} == {}
+
+
 def _file_writes(tree: ast.Module) -> list[str]:
     """Imports of tempfile or shutil, and calls that open, write or rename files."""
     found = []

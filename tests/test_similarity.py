@@ -422,6 +422,7 @@ def test_transition_examples():
     assert transition_index([0, 0, 1, 1, 1]) == 2
     assert transition_index([0, 1, 0, 0, 1, 1]) == 4
     assert transition_index([0, 0, 0]) is None
+    assert transition_index([]) is None
 
 
 def test_transition_exhaustive_small():

@@ -15,10 +15,14 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import pickle
+import struct
 import sys
+import traceback
 from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
+from typing import NoReturn
 
 from . import dataio
 from .core import AUTO, CorrectionConfig, DetectConfig
@@ -64,7 +68,9 @@ def _int_or_auto(text: str):
 
 
 def _default_jobs() -> int:
-    return min(8, os.cpu_count() or 1)
+    # The CPUs this process may run on, which taskset or a cpuset can narrow.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(8, cpus or 1)
 
 
 def _collect(path: Path, suffix: str) -> tuple[list[tuple[str, Path]], bool]:
@@ -87,25 +93,11 @@ def _distinct_outputs(first: str, a: Path, second: str, b: Path | None) -> None:
         raise ValueError(f"{first} and {second} both name {b}; give them different paths")
 
 
-# The batch a forked worker serves, set by `_adopt` in each worker.
-_batch: tuple = ()
-
-
 def _attempt(run, item):
     try:
         return run(item), None
     except (ValueError, OSError) as exc:
         return None, exc
-
-
-def _adopt(run, items) -> None:
-    global _batch
-    _batch = run, items
-
-
-def _attempt_nth(index: int):
-    run, items = _batch
-    return _attempt(run, items[index])
 
 
 def _report_in_order(outcomes, values: list) -> int:
@@ -128,37 +120,173 @@ def _each_video(jobs: int, items: list, run) -> tuple[int, list]:
     `run(item)` does the item's whole work, writes included, and returns a
     `(line, value)` pair: the line (if any) is logged and the value kept.
     When both `jobs` and the item count exceed one, items run on
-    min(jobs, count) forked worker processes. Workers inherit `run` and
-    `items` through the fork, receive only an index, and send back only the
-    `((line, value), exc)` pair. Otherwise everything runs inline and
-    nothing is forked. A ValueError or OSError from `run` is reported and
-    skips only that item; a worker that dies ends the batch, and what the
-    other items wrote stays. Returns the exit code (2 if any item was
-    skipped or a worker died, else 0) and the values in input order, None
-    for a skipped item; after a worker dies the list stops short.
+    min(jobs, count) forked worker processes (`_forked`). Otherwise
+    everything runs inline and nothing is forked. A ValueError or OSError
+    from `run` is reported and skips only that item; a worker that dies
+    ends the batch, and what the other items wrote stays. Returns the exit
+    code (2 if any item was skipped or a worker died, else 0) and the values
+    in input order, None for a skipped item; after a worker dies the list
+    stops short.
     """
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     workers = min(jobs, len(items))
     values: list = []
-    if workers == 1:
+    if workers <= 1:
         return _report_in_order((_attempt(run, item) for item in items), values), values
-    # Imported here: at module level they would slow every CLI start.
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
+    if not hasattr(os, "fork"):
         raise ValueError(f"--jobs {jobs} needs the 'fork' start method, which this "
-                         "system lacks; --jobs 1 runs every video in one process") from None
-    with ProcessPoolExecutor(workers, mp_context=context,
-                             initializer=_adopt, initargs=(run, items)) as pool:
-        try:
-            return _report_in_order(pool.map(_attempt_nth, range(len(items))), values), values
-        except BrokenProcessPool as exc:
-            print(f"error: a worker process died: {exc}", file=sys.stderr)
-            return 2, values
+                         "system lacks; --jobs 1 runs every video in one process")
+    outcomes = _forked(workers, items, run)
+    try:
+        return _report_in_order(outcomes, values), values
+    except _WorkerDied as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
+        return 2, values
+    finally:
+        outcomes.close()
+
+
+class _WorkerDied(Exception):
+    """A worker exited non-zero, or its result stream ended mid-record."""
+
+
+# A queued item: its index as 4 bytes, little-endian.
+_INDEX = struct.Struct("<I")
+# The byte length of the pickled `(index, outcome)` record that follows it.
+_SIZE = struct.Struct("<Q")
+
+
+def _forked(workers: int, items: list, run):
+    """Yield `_attempt(run, item)` for every item in input order, computed on
+    `workers` forked processes.
+
+    Workers inherit `run` and `items` through the fork. They take indices
+    from one shared queue pipe, which the parent fills after forking, and
+    each streams back a record per item on its own pipe, so no worker waits
+    on the parent between items. Every queue write is at most PIPE_BUF
+    bytes of whole indices, hence atomic: no reader gets half an index. The
+    parent feeds the queue without blocking while it drains the result
+    pipes, so neither side can stall the other at any batch size. Raises
+    _WorkerDied once a worker exits non-zero or cuts a record short; every
+    worker still running when this generator ends is killed, and all are
+    reaped.
+    """
+    # Imported here: only a forking call needs them.
+    import selectors
+    import signal
+    from select import PIPE_BUF
+
+    streams: dict[int, int] = {}  # result pipe read end -> its worker's pid, until reaped
+    selector = None
+    queue_r, queue_w = os.pipe()
+    try:
+        # A worker flushes its streams before it exits; it must not repeat
+        # what the parent had buffered at the fork.
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+        for _ in range(workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                for fd in (queue_w, read_end, *streams):
+                    os.close(fd)
+                _work(queue_r, write_end, run, items)
+            os.close(write_end)
+            streams[read_end] = pid
+        os.close(queue_r)
+        queue_r = -1
+        queue = memoryview(b"".join(map(_INDEX.pack, range(len(items)))))
+        atomic = PIPE_BUF - PIPE_BUF % _INDEX.size
+        os.set_blocking(queue_w, False)
+        selector = selectors.DefaultSelector()
+        selector.register(queue_w, selectors.EVENT_WRITE)
+        for fd in streams:
+            selector.register(fd, selectors.EVENT_READ)
+        buffers = {fd: bytearray() for fd in streams}
+        done: dict = {}
+        next_index = 0
+        while selector.get_map():
+            died = None
+            for key, _ in selector.select():
+                fd = key.fd
+                if fd == queue_w:
+                    try:
+                        queue = queue[os.write(fd, queue[:atomic]):]
+                    except BlockingIOError:
+                        continue
+                    except BrokenPipeError:  # every worker is gone; their streams say why
+                        queue = queue[:0]
+                    if not queue:
+                        selector.unregister(fd)
+                        os.close(fd)
+                        queue_w = -1
+                    continue
+                chunk = os.read(fd, 1 << 16)
+                buffer = buffers[fd]
+                buffer += chunk
+                while len(buffer) >= _SIZE.size:
+                    end = _SIZE.size + _SIZE.unpack_from(buffer)[0]
+                    if len(buffer) < end:
+                        break
+                    index, outcome = pickle.loads(buffer[_SIZE.size:end])
+                    done[index] = outcome
+                    del buffer[:end]
+                if not chunk:
+                    selector.unregister(fd)
+                    os.close(fd)
+                    pid = streams.pop(fd)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    if code < 0:
+                        died = f"worker {pid} was killed by signal {-code}"
+                    elif code:
+                        died = f"worker {pid} exited with status {code}"
+                    elif buffer:
+                        died = f"worker {pid} ended its results mid-record"
+            while next_index in done:
+                yield done.pop(next_index)
+                next_index += 1
+            if died:
+                raise _WorkerDied(died)
+        if next_index < len(items):
+            raise _WorkerDied(f"the workers exited with {len(items) - next_index} items left")
+    finally:
+        if selector is not None:
+            selector.close()
+        for fd in (queue_r, queue_w, *streams):
+            if fd >= 0:
+                os.close(fd)
+        for pid in streams.values():
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _work(queue: int, results: int, run, items) -> NoReturn:
+    """A forked worker's whole life: run `items[index]` for each index read
+    from `queue` until EOF, writing its record to `results` after each.
+
+    It always ends in `os._exit`, never returning into the stack it was
+    forked from: status 0 once the queue is empty, 1 after printing the
+    traceback of anything `_attempt` does not catch (a bug, an interrupt).
+    """
+    status = 1
+    try:
+        while data := os.read(queue, _INDEX.size):
+            (index,) = _INDEX.unpack(data)
+            record = pickle.dumps((index, _attempt(run, items[index])), pickle.HIGHEST_PROTOCOL)
+            message = memoryview(_SIZE.pack(len(record)) + record)
+            while message:
+                message = message[os.write(results, message):]
+        status = 0
+    except BaseException:  # reported here, since the worker cannot re-raise into its parent
+        traceback.print_exc()
+    finally:
+        for stream in (sys.stdout, sys.stderr):
+            with suppress(AttributeError, OSError):
+                stream.flush()
+        os._exit(status)
 
 
 def _pair_inputs(features: Path, labels: Path) -> tuple[list[tuple[str, Path, Path]], bool]:
@@ -407,6 +535,8 @@ def _synth_files(out: Path, args, spec: SynthSpec, mapping: dataio.ClassMapping)
 # ---------------------------------------------------------------- plot
 
 def _cmd_plot(args) -> int:
+    if args.text and args.out:
+        raise ValueError("plot takes --out FILE.svg or --text, not both")
     if not (args.text or args.out):
         raise ValueError("plot needs --out FILE.svg (or --text)")
     mapping = _load_mapping(args)
@@ -541,8 +671,22 @@ def main(argv=None) -> int:
         return 2
 
 
-def entry() -> None:
-    sys.exit(main())
+def entry() -> NoReturn:
+    code = main()
+    # Every output is written by now, so the interpreter's teardown (freeing
+    # every module and object, NumPy's among them: about 20 ms a call) would
+    # change nothing; flush what is buffered and skip it. main() itself
+    # returns normally, so tests and library callers keep their interpreter.
+    logging.shutdown()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:  # a closed pipe, say; as main() reports it
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    with suppress(AttributeError, OSError):  # no stderr is left to report on
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import os
 import re
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -348,6 +349,9 @@ _CLI_RUNS = {
     "jobs1": "d = sys.argv[1]; code = actseg.cli.main(['smooth', d + '/predictions',"
              " '--s-win', '4', '--mapping', d + '/mapping.txt', '--out', d + '/s',"
              " '--jobs', '1'])",
+    "jobs2": "d = sys.argv[1]; code = actseg.cli.main(['smooth', d + '/predictions',"
+             " '--s-win', '4', '--mapping', d + '/mapping.txt', '--out', d + '/s',"
+             " '--jobs', '2'])",
 }
 
 
@@ -363,9 +367,10 @@ def test_cli_never_loads_scipy(id_predictions, run):
     assert _python(code, id_predictions) == 0
 
 
-@pytest.mark.parametrize("run", ["import", "help", "jobs1"])
-def test_cli_loads_process_pool_only_to_fork(id_predictions, run):
-    # Keeps start-up flat, and shows that one worker runs inline.
+@pytest.mark.parametrize("run", ["import", "help", "jobs1", "jobs2"])
+def test_cli_never_loads_multiprocessing(id_predictions, run):
+    # The fork pool is os.fork and pipes: the 20 ms import of these modules
+    # would land in every call that forks.
     code = (f"import sys, actseg.cli\n{_CLI_RUNS[run]}\nsys.exit(code or any(m in sys.modules"
             f" for m in ('multiprocessing', 'concurrent.futures.process')))")
     assert _python(code, id_predictions) == 0
@@ -444,6 +449,15 @@ def test_plot_checks_usage_before_loading(tmp_path, capsys):
     names.write_text("pour\npour\nstir\n")  # names, and no --mapping to read them
     assert main(["plot", str(names)]) == 2
     assert "error: plot needs --out FILE.svg (or --text)" in capsys.readouterr().err
+
+
+def test_plot_refuses_text_with_out(tmp_path, capsys):
+    fig = tmp_path / "f.svg"
+    # The label file is never read: the usage check comes first.
+    assert main(["plot", str(tmp_path / "missing.txt"), "--text", "--out", str(fig)]) == 2
+    out, err = capsys.readouterr()
+    assert "error: plot takes --out FILE.svg or --text, not both" in err
+    assert out == "" and not fig.exists()
 
 
 def test_plot_empty_labels_exit_2(tmp_path):
@@ -582,13 +596,14 @@ def test_jobs_below_one_exit_2(synth_dir, tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+def test_default_jobs_counts_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    args = cli.build_parser().parse_args(["smooth", "p", "--s-win", "4", "--out", "o"])
+    assert args.jobs == 1
+
+
 def test_jobs_without_fork_exit_2(synth_dir, tmp_path, capsys, monkeypatch):
-    import multiprocessing
-
-    def no_fork(method=None):
-        raise ValueError(f"cannot find context for {method!r}")
-
-    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    monkeypatch.delattr(os, "fork")
     out = tmp_path / "out"
     assert main(["smooth", str(synth_dir / "predictions"), "--s-win", "4", "--jobs", "2",
                  "--mapping", str(synth_dir / "mapping.txt"), "--out", str(out)]) == 2
@@ -874,6 +889,100 @@ def test_dead_worker_exit_2(synth_dir, tmp_path, capfd, monkeypatch):
     err = capfd.readouterr().err
     assert "error: a worker process died" in err and "Traceback" not in err
     assert sorted(p.name for p in out.iterdir()) == ["synth_000.txt", "synth_001.txt"]
+
+
+def _within(seconds, call):
+    """call(), failing with TimeoutError instead of hanging when it deadlocks."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_fork_pool_feeds_more_indices_than_a_pipe_holds():
+    # 20 000 indices are 80 000 bytes, more than a 64 KiB pipe buffer.
+    items = list(range(20_000))
+    assert _within(60, lambda: cli._each_video(2, items, lambda i: (None, 2 * i))) == \
+        (0, [2 * i for i in items])
+
+
+def test_fork_pool_returns_records_larger_than_a_pipe():
+    values = [bytes([i]) * 100_000 for i in range(8)]
+    assert _within(60, lambda: cli._each_video(3, list(range(8)),
+                                               lambda i: (f"item {i}", values[i]))) == (0, values)
+
+
+def test_unhandled_worker_error_exit_2(synth_dir, tmp_path, capfd, monkeypatch):
+    out = tmp_path / "out"
+    load = dataio.load_labels
+
+    def buggy_load(path, mapping=None):
+        if Path(path).stem == "synth_001":
+            raise TypeError("a bug")
+        return load(path, mapping)
+
+    monkeypatch.setattr(dataio, "load_labels", buggy_load)
+    assert main(["smooth", str(synth_dir / "predictions"), "--s-win", "4", "--jobs", "2",
+                 "--mapping", str(synth_dir / "mapping.txt"), "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert "error: a worker process died: worker " in err and "TypeError: a bug" in err
+    assert (out / "synth_000.txt").exists() and not (out / "synth_001.txt").exists()
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cli(args, stdout=subprocess.PIPE):
+    """Run `python -m actseg.cli`, so through `entry()`, with a buffered stdout."""
+    src = str(Path(actseg.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "actseg.cli", *map(str, args)],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env={**env, "PYTHONPATH": src}, timeout=120)
+
+
+def test_entry_flushes_every_output_and_passes_the_exit_code(synth_dir, tmp_path, capsys):
+    mapping = ["--mapping", synth_dir / "mapping.txt"]
+    evaluate = ["eval", synth_dir / "predictions", synth_dir / "groundTruth", *mapping,
+                "--splits", synth_dir / "splits" / "all.txt", "--jobs", "2"]
+    assert main(list(map(str, evaluate))) == 0
+    want = capsys.readouterr().out
+    report = tmp_path / "eval.out"
+    with open(report, "w") as stdout:
+        assert _cli(evaluate, stdout).returncode == 0
+    assert report.read_text() == want and "f1_50=" in want
+
+    smoothed = _cli(["smooth", synth_dir / "predictions", "--s-win", "auto", *mapping,
+                     "--out", tmp_path / "smoothed", "--jobs", "2"])
+    assert smoothed.returncode == 0 and smoothed.stdout == ""
+    assert [line.split(":")[0] for line in smoothed.stderr.splitlines()] == \
+        [f"synth_{i:03d}" for i in range(3)]
+
+    flat = tmp_path / "flat.npy"
+    dataio.write_array(flat, np.ones((50, 4)))
+    no_bounds = _cli(["detect", flat, "--num-classes", "2", "--b-intrv", "10",
+                      "--out-bounds", tmp_path / "bounds.txt"])
+    assert no_bounds.returncode == 1 and "no boundaries detected for: flat" in no_bounds.stderr
+
+    missing = _cli(["smooth", tmp_path / "missing.txt", "--s-win", "4", "--out", tmp_path / "o"])
+    assert missing.returncode == 2 and missing.stderr.startswith("error: ")
+
+
+def test_entry_reports_a_closed_stdout(synth_dir):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe fails
+    try:
+        closed = _cli(["eval", synth_dir / "predictions", synth_dir / "groundTruth",
+                       "--mapping", synth_dir / "mapping.txt"], write_end)
+    finally:
+        os.close(write_end)
+    assert closed.returncode == 2
+    assert closed.stderr == "error: [Errno 32] Broken pipe\n"
 
 
 def _tree(root):

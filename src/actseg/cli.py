@@ -3,8 +3,8 @@
 File-level front end over the library. Batch subcommands accept
 directories and run each video on up to `--jobs` forked worker processes,
 one video per worker at a time. The process that computes a video writes
-its outputs; the parent logs each video's line and reports its error in
-input order, so repeated runs are bit-identical. A video that fails to
+its outputs; the parent logs each video's warnings and line and reports
+its error in input order, so repeated runs are bit-identical. A video that fails to
 load, run or write is reported and skipped, leaving no output of its own.
 Exit codes: 2 if any video failed, a worker died, or on usage or
 IO errors, else 1 if detect found no boundaries for some video, else 0.
@@ -19,6 +19,7 @@ import pickle
 import struct
 import sys
 import traceback
+import warnings
 from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
@@ -94,15 +95,30 @@ def _distinct_outputs(first: str, a: Path, second: str, b: Path | None) -> None:
 
 
 def _attempt(run, item):
-    try:
-        return run(item), None
-    except (ValueError, OSError) as exc:
-        return None, exc
+    """`run(item)` as a `(result, error, warnings)` outcome.
+
+    A ValueError or OSError becomes the error. Each distinct warning message
+    the run raises becomes one line naming the video: the item, or its first
+    element when it is a tuple. Warnings are recorded, not shown, since
+    Python shows each once per code location per process, which would make
+    what is shown depend on `--jobs`.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = run(item), None
+        except (ValueError, OSError) as exc:
+            outcome = None, exc
+    vid = item[0] if isinstance(item, tuple) else item
+    return (*outcome, [f"{vid}: {message}"
+                       for message in dict.fromkeys(str(w.message) for w in caught)])
 
 
 def _report_in_order(outcomes, values: list) -> int:
     failed = False
-    for result, exc in outcomes:
+    for result, exc, caught in outcomes:
+        for line in caught:
+            log.warning(line)
         if exc is None:
             line, value = result
             if line:
@@ -121,7 +137,8 @@ def _each_video(jobs: int, items: list, run) -> tuple[int, list]:
     `(line, value)` pair: the line (if any) is logged and the value kept.
     When both `jobs` and the item count exceed one, items run on
     min(jobs, count) forked worker processes (`_forked`). Otherwise
-    everything runs inline and nothing is forked. A ValueError or OSError
+    everything runs inline and nothing is forked. Warnings raised by `run`
+    are logged before the item's line (`_attempt`). A ValueError or OSError
     from `run` is reported and skips only that item; a worker that dies
     ends the batch, and what the other items wrote stays. Returns the exit
     code (2 if any item was skipped or a worker died, else 0) and the values
@@ -151,7 +168,7 @@ class _WorkerDied(Exception):
     """A worker exited non-zero, or its result stream ended mid-record."""
 
 
-# A queued item: its index as 4 bytes, little-endian.
+# A queued chunk of items: its index as 4 bytes, little-endian.
 _INDEX = struct.Struct("<I")
 # The byte length of the pickled `(index, outcome)` record that follows it.
 _SIZE = struct.Struct("<Q")
@@ -161,25 +178,30 @@ def _forked(workers: int, items: list, run):
     """Yield `_attempt(run, item)` for every item in input order, computed on
     `workers` forked processes.
 
-    Workers inherit `run` and `items` through the fork. They take indices
-    from one shared queue pipe, which the parent fills after forking, and
-    each streams back a record per item on its own pipe, so no worker waits
-    on the parent between items. Every queue write is at most PIPE_BUF
-    bytes of whole indices, hence atomic: no reader gets half an index. The
-    parent feeds the queue without blocking while it drains the result
-    pipes, so neither side can stall the other at any batch size. Raises
-    _WorkerDied once a worker exits non-zero or cuts a record short; every
-    worker still running when this generator ends is killed, and all are
-    reaped.
+    Workers inherit `run` and `items` through the fork. The items are cut
+    into at most PIPE_BUF // 4 chunks of consecutive items (one item each
+    up to that count), and before the first fork the parent writes every
+    chunk index to one shared queue pipe and closes its write end. That is
+    one write of at most PIPE_BUF bytes into an empty pipe: atomic, so no
+    reader gets half an index, and it cannot block. Workers read chunk
+    indices until EOF and each streams back a record per item on its own
+    pipe; the parent only drains those pipes, so no worker waits on the
+    parent between items. Raises _WorkerDied once a worker exits non-zero
+    or cuts a record short; every worker still running when this generator
+    ends is killed, and all are reaped.
     """
     # Imported here: only a forking call needs them.
     import selectors
     import signal
     from select import PIPE_BUF
 
+    chunks = min(len(items), PIPE_BUF // _INDEX.size)
+    queue, feed = os.pipe()
+    try:
+        os.write(feed, b"".join(map(_INDEX.pack, range(chunks))))
+    finally:
+        os.close(feed)
     streams: dict[int, int] = {}  # result pipe read end -> its worker's pid, until reaped
-    selector = None
-    queue_r, queue_w = os.pipe()
     try:
         # A worker flushes its streams before it exits; it must not repeat
         # what the parent had buffered at the fork.
@@ -190,82 +212,60 @@ def _forked(workers: int, items: list, run):
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:
-                for fd in (queue_w, read_end, *streams):
+                for fd in (read_end, *streams):
                     os.close(fd)
-                _work(queue_r, write_end, run, items)
+                _work(queue, write_end, run, items, chunks)
             os.close(write_end)
             streams[read_end] = pid
-        os.close(queue_r)
-        queue_r = -1
-        queue = memoryview(b"".join(map(_INDEX.pack, range(len(items)))))
-        atomic = PIPE_BUF - PIPE_BUF % _INDEX.size
-        os.set_blocking(queue_w, False)
-        selector = selectors.DefaultSelector()
-        selector.register(queue_w, selectors.EVENT_WRITE)
-        for fd in streams:
-            selector.register(fd, selectors.EVENT_READ)
         buffers = {fd: bytearray() for fd in streams}
         done: dict = {}
         next_index = 0
-        while selector.get_map():
-            died = None
-            for key, _ in selector.select():
-                fd = key.fd
-                if fd == queue_w:
-                    try:
-                        queue = queue[os.write(fd, queue[:atomic]):]
-                    except BlockingIOError:
-                        continue
-                    except BrokenPipeError:  # every worker is gone; their streams say why
-                        queue = queue[:0]
-                    if not queue:
+        with selectors.DefaultSelector() as selector:
+            for fd in streams:
+                selector.register(fd, selectors.EVENT_READ)
+            while selector.get_map():
+                died = None
+                for key, _ in selector.select():
+                    fd = key.fd
+                    data = os.read(fd, 1 << 16)
+                    buffer = buffers[fd]
+                    buffer += data
+                    while len(buffer) >= _SIZE.size:
+                        end = _SIZE.size + _SIZE.unpack_from(buffer)[0]
+                        if len(buffer) < end:
+                            break
+                        index, outcome = pickle.loads(buffer[_SIZE.size:end])
+                        done[index] = outcome
+                        del buffer[:end]
+                    if not data:
                         selector.unregister(fd)
                         os.close(fd)
-                        queue_w = -1
-                    continue
-                chunk = os.read(fd, 1 << 16)
-                buffer = buffers[fd]
-                buffer += chunk
-                while len(buffer) >= _SIZE.size:
-                    end = _SIZE.size + _SIZE.unpack_from(buffer)[0]
-                    if len(buffer) < end:
-                        break
-                    index, outcome = pickle.loads(buffer[_SIZE.size:end])
-                    done[index] = outcome
-                    del buffer[:end]
-                if not chunk:
-                    selector.unregister(fd)
-                    os.close(fd)
-                    pid = streams.pop(fd)
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    if code < 0:
-                        died = f"worker {pid} was killed by signal {-code}"
-                    elif code:
-                        died = f"worker {pid} exited with status {code}"
-                    elif buffer:
-                        died = f"worker {pid} ended its results mid-record"
-            while next_index in done:
-                yield done.pop(next_index)
-                next_index += 1
-            if died:
-                raise _WorkerDied(died)
-        if next_index < len(items):
-            raise _WorkerDied(f"the workers exited with {len(items) - next_index} items left")
+                        pid = streams.pop(fd)
+                        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                        if code < 0:
+                            died = f"worker {pid} was killed by signal {-code}"
+                        elif code:
+                            died = f"worker {pid} exited with status {code}"
+                        elif buffer:
+                            died = f"worker {pid} ended its results mid-record"
+                while next_index in done:
+                    yield done.pop(next_index)
+                    next_index += 1
+                if died:
+                    raise _WorkerDied(died)
     finally:
-        if selector is not None:
-            selector.close()
-        for fd in (queue_r, queue_w, *streams):
-            if fd >= 0:
-                os.close(fd)
+        for fd in (queue, *streams):
+            os.close(fd)
         for pid in streams.values():
             with suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _work(queue: int, results: int, run, items) -> NoReturn:
-    """A forked worker's whole life: run `items[index]` for each index read
-    from `queue` until EOF, writing its record to `results` after each.
+def _work(queue: int, results: int, run, items, chunks: int) -> NoReturn:
+    """A forked worker's whole life: for each chunk index read from `queue`
+    until EOF, run the chunk's items in order, writing each item's record
+    to `results` as soon as it is done.
 
     It always ends in `os._exit`, never returning into the stack it was
     forked from: status 0 once the queue is empty, 1 after printing the
@@ -274,11 +274,13 @@ def _work(queue: int, results: int, run, items) -> NoReturn:
     status = 1
     try:
         while data := os.read(queue, _INDEX.size):
-            (index,) = _INDEX.unpack(data)
-            record = pickle.dumps((index, _attempt(run, items[index])), pickle.HIGHEST_PROTOCOL)
-            message = memoryview(_SIZE.pack(len(record)) + record)
-            while message:
-                message = message[os.write(results, message):]
+            (chunk,) = _INDEX.unpack(data)
+            for index in range(len(items) * chunk // chunks, len(items) * (chunk + 1) // chunks):
+                record = pickle.dumps((index, _attempt(run, items[index])),
+                                      pickle.HIGHEST_PROTOCOL)
+                message = memoryview(_SIZE.pack(len(record)) + record)
+                while message:
+                    message = message[os.write(results, message):]
         status = 0
     except BaseException:  # reported here, since the worker cannot re-raise into its parent
         traceback.print_exc()
@@ -361,7 +363,10 @@ def _cmd_correct(args) -> int:
             outputs.append((_target(args.report, batch, vid, ".txt"), "".join(
                 f"{r.original} {r.corrected} {r.iterations}\n" for r in report.records)))
         dataio.save_all(outputs)
-        return f"{vid}: moved {report.moved()} of {len(report.records)} boundaries", None
+        resolved = (f"resolved b_win={report.b_win} b_seg={report.b_seg}, "
+                    if cfg.b_win == AUTO else "")
+        return (f"{vid}: {resolved}moved {report.moved()} of {len(report.records)} boundaries",
+                None)
 
     return _each_video(args.jobs, paired, run)[0]
 

@@ -161,7 +161,7 @@ def boundaries_of(labels: LabelSequence) -> BoundarySet:
 
 
 def from_boundaries(bounds: BoundarySet, labels_per_segment: Sequence[int],
-                    frames: int, class_count: int | None = None) -> LabelSequence:
+                    frames: int, class_count: int) -> LabelSequence:
     """Inverse of boundaries_of: build labels from boundaries and run classes."""
     classes = [int(c) for c in labels_per_segment]
     if len(classes) != len(bounds) + 1:
@@ -170,8 +170,6 @@ def from_boundaries(bounds: BoundarySet, labels_per_segment: Sequence[int],
     edges = [0, *bounds.indices, frames]
     if edges[-2] >= frames:
         raise ValueError(f"boundary {edges[-2]} outside [1, {frames - 1}]")
-    if class_count is None:
-        class_count = max(classes) + 1
     return LabelSequence(np.repeat(classes, np.diff(edges)), class_count)
 
 

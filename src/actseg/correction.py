@@ -59,6 +59,8 @@ class BoundaryRecord:
 @dataclass(frozen=True)
 class CorrectionReport:
     records: tuple[BoundaryRecord, ...]
+    b_win: int  # the window sizes as resolved, AUTO replaced by numbers
+    b_seg: int
 
     def moved(self) -> int:
         return sum(1 for r in self.records if r.corrected != r.original)
@@ -196,4 +198,5 @@ def correct_all(feat: FeatureSequence, labels: LabelSequence,
         records.append(BoundaryRecord(boundary, corrected, history, window))
         out[ws:corrected] = original[boundary - 1]
         out[corrected:we] = original[boundary]
-    return LabelSequence(out, labels.class_count), CorrectionReport(tuple(records))
+    return (LabelSequence(out, labels.class_count),
+            CorrectionReport(tuple(records), b_win, b_seg))

@@ -906,10 +906,41 @@ def _within(seconds, call):
 
 
 def test_fork_pool_feeds_more_indices_than_a_pipe_holds():
-    # 20 000 indices are 80 000 bytes, more than a 64 KiB pipe buffer.
+    # 20 000 items, more than one queue write holds as single indices: the
+    # queue holds chunks of consecutive items, at most PIPE_BUF // 4 of them.
     items = list(range(20_000))
     assert _within(60, lambda: cli._each_video(2, items, lambda i: (None, 2 * i))) == \
         (0, [2 * i for i in items])
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("count", [1023, 1024, 1025, 2049, 20_000])
+def test_fork_pool_chunks_cover_every_item_once(jobs, count):
+    # Around and past 1024 chunks, Linux's PIPE_BUF // 4: every item runs once, in order.
+    items = list(range(count))
+    assert _within(60, lambda: cli._each_video(jobs, items, lambda i: (None, i))) == (0, items)
+
+
+def test_fork_pool_parent_writes_no_pipe_after_forking(monkeypatch):
+    # The queue is written whole before the first fork, so the parent cannot
+    # block on, or be refused by, a pipe its workers read. A child's calls
+    # land in its own copy of `events`.
+    events = []
+    fork, write = os.fork, os.write
+    monkeypatch.setattr(os, "fork", lambda: events.append("fork") or fork())
+    monkeypatch.setattr(os, "write", lambda fd, data: events.append("write") or write(fd, data))
+    assert _within(60, lambda: cli._each_video(2, list(range(50)), lambda i: (None, i))) == \
+        (0, list(range(50)))
+    assert events.count("fork") == 2
+    assert "write" not in events[events.index("fork"):]
+
+
+def test_every_worker_dying_exit_2(capsys):
+    assert _within(60, lambda: cli._each_video(2, list(range(6)),
+                                               lambda i: os._exit(3))) == (2, [])
+    assert "error: a worker process died: worker " in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_fork_pool_returns_records_larger_than_a_pipe():
@@ -1115,6 +1146,51 @@ def test_smooth_auto_logs_in_input_order(synth_dir, tmp_path, caplog, monkeypatc
     assert [m.split(":")[0] for m in logged] == ["synth_000", "synth_001", "synth_002"]
 
 
+def test_correct_auto_logs_resolved_windows_in_input_order(synth_dir, tmp_path, caplog,
+                                                          monkeypatch):
+    load = dataio.load_labels
+
+    def slow_load(path, mapping=None):
+        time.sleep(0.1 * (3 - int(Path(path).stem[-1])))  # synth_000 finishes last
+        return load(path, mapping)
+
+    monkeypatch.setattr(dataio, "load_labels", slow_load)
+    with caplog.at_level(logging.INFO, logger="actseg"):
+        assert main(["correct", str(synth_dir / "features"), str(synth_dir / "predictions"),
+                     "--b-win", "auto", "--b-seg", "auto", "--jobs", "4",
+                     "--mapping", str(synth_dir / "mapping.txt"),
+                     "--out", str(tmp_path / "out")]) == 0
+    logged = [r.getMessage() for r in caplog.records if "moved" in r.getMessage()]
+    assert [m.split(":")[0] for m in logged] == ["synth_000", "synth_001", "synth_002"]
+    assert all(re.fullmatch(r"synth_00\d: resolved b_win=\d+ b_seg=\d+, moved \d+ of \d+ "
+                            r"boundaries", m) for m in logged)
+
+
+def test_run_warnings_name_each_video_alike_for_every_jobs(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(data), "--count", "4", "--segments", "4",
+                 "--dim", "8", "--min-len", "40", "--max-len", "70",
+                 "--perturb", "5", "--seed", "2"]) == 0
+    for path in (data / "features").iterdir():
+        values = np.load(path)
+        values[20:80] = 0.0  # zero-norm blocks, which cosine similarity warns about
+        np.save(path, values)
+    for command in ("correct", "detect"):
+        args = (["detect", data / "features", "--num-classes", "4", "--b-intrv", "20",
+                 "--out-bounds"] if command == "detect" else
+                ["correct", data / "features", data / "predictions",
+                 "--mapping", data / "mapping.txt", "--out"])
+        errs = {}
+        for jobs in ("1", "2", "3"):
+            result = _cli([*args, tmp_path / f"{command}{jobs}", "--jobs", jobs])
+            assert result.returncode == 0, result.stderr
+            errs[jobs] = result.stderr
+        assert errs["1"] == errs["2"] == errs["3"]
+        warned = [line for line in errs["1"].splitlines() if "zero-norm" in line]
+        assert warned == [f"synth_00{i}: zero-norm block in cosine similarity, scored 0.0"
+                          for i in range(4)]
+
+
 def test_detect_warns_before_full_d_dtw(tmp_path, caplog, monkeypatch):
     none = BoundarySet()
     proposals = MethodProposals(none, none, none, np.zeros(0), np.zeros(0),
@@ -1140,13 +1216,21 @@ def test_detect_warns_before_full_d_dtw(tmp_path, caplog, monkeypatch):
 
 
 @pytest.mark.parametrize("flags", [[], ["--dim-reduce", "2"]], ids=["full_d", "dim_reduce"])
-def test_detect_reads_each_header_once(tmp_path, recwarn, flags):
+def test_detect_reads_each_header_once(tmp_path, caplog, monkeypatch, flags):
     path = tmp_path / "py2.npy"
     dataio.write_array(path, np.arange(120.0).reshape(30, 4))
     path.write_bytes(path.read_bytes().replace(b"(30, 4), }", b"(30L, 4L)}"))  # same length
-    assert main(["detect", str(path), "--num-classes", "2",
-                 "--out-bounds", str(tmp_path / "bounds.txt"), *flags]) == 0
-    assert len([w for w in recwarn if "Python 2" in str(w.message)]) == 1
+    reads = []
+    read_header = dataio._read_header
+    monkeypatch.setattr(dataio, "_read_header",
+                        lambda *args: reads.append(args[0]) or read_header(*args))
+    with caplog.at_level(logging.INFO, logger="actseg"):
+        assert main(["detect", str(path), "--num-classes", "2",
+                     "--out-bounds", str(tmp_path / "bounds.txt"), *flags]) == 0
+    assert reads == [path]
+    # A video logs each distinct warning once, so this line alone cannot count reads.
+    headers = [r.getMessage() for r in caplog.records if "Python 2" in r.getMessage()]
+    assert len(headers) == 1 and headers[0].startswith("py2: Reading `.npy`")
 
 
 def test_detect_clusters_each_video_once(synth_dir, tmp_path, monkeypatch):

@@ -47,17 +47,17 @@ def test_boundaries_of_examples():
 
 
 def test_from_boundaries_examples():
-    assert np.array_equal(from_boundaries(BoundarySet((2,)), [A, B], 4).labels,
+    assert np.array_equal(from_boundaries(BoundarySet((2,)), [A, B], 4, 2).labels,
                           [A, A, B, B])
-    assert np.array_equal(from_boundaries(BoundarySet(()), [A], 3).labels,
+    assert np.array_equal(from_boundaries(BoundarySet(()), [A], 3, 1).labels,
                           [A, A, A])
-    assert np.array_equal(from_boundaries(BoundarySet((1, 3)), [A, B, C], 5).labels,
+    assert np.array_equal(from_boundaries(BoundarySet((1, 3)), [A, B, C], 5, 3).labels,
                           [A, B, B, C, C])
 
 
 def test_from_boundaries_count_mismatch():
     with pytest.raises(ValueError, match="segment classes"):
-        from_boundaries(BoundarySet((2,)), [A], 4)
+        from_boundaries(BoundarySet((2,)), [A], 4, 1)
 
 
 def test_round_trip_random():

@@ -104,24 +104,29 @@ def test_only_dataio_opens_or_renames_files():
 
 
 def _process_machinery(tree: ast.Module) -> set[str]:
-    """Imports of multiprocessing, concurrent or threading, and uses of os.fork or os._exit."""
+    """Imports of multiprocessing, concurrent or threading, and uses of
+    os.fork, os._exit or os.set_blocking."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.add(node.module)
-        elif (isinstance(node, ast.Attribute) and node.attr in ("fork", "_exit")
+        elif (isinstance(node, ast.Attribute) and node.attr in ("fork", "_exit", "set_blocking")
               and isinstance(node.value, ast.Name) and node.value.id == "os"):
             found.add(ast.unparse(node))
-    return {name for name in found if name in ("os.fork", "os._exit")
+    return {name for name in found if name in ("os.fork", "os._exit", "os.set_blocking")
             or name.split(".")[0] in ("multiprocessing", "concurrent", "threading")}
 
 
 def test_only_cli_forks_and_no_module_imports_a_pool_or_threads():
     # cli's fork pool is safe because the package starts no thread, and
     # os._exit skips the cleanup a library caller's interpreter relies on.
+    # No pipe is made non-blocking: the parent writes the whole queue before
+    # it forks, so it has no write that could block on a worker.
     found = {path.name: _process_machinery(ast.parse(path.read_text(), str(path)))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert found.pop("cli.py") == {"os.fork", "os._exit"}  # the scan sees cli's own
     assert {name: names for name, names in found.items() if names} == {}
+    # ... and would see a non-blocking pipe.
+    assert _process_machinery(ast.parse("os.set_blocking(fd, False)")) == {"os.set_blocking"}

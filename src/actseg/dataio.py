@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import errno
 import math
+import mmap
 import os
 import re
 from contextlib import contextmanager
@@ -201,6 +202,29 @@ def _read_header(path: Path, handle) -> tuple[np.dtype, tuple[int, ...], int]:
     return dtype, shape, 10 + header_len
 
 
+def _mapped_empty(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """An uninitialised array in a private anonymous memory mapping of its own.
+
+    Freeing the array unmaps it whole. From the heap, a batch of videos
+    left holes: glibc maps a large block on its own only while it is larger
+    than every mapped block the process has freed, so after the first
+    video each payload (8-10 MiB for a 2048 x 1k float32 video) came from
+    the heap, and one freed while anything above it was still held stayed
+    a hole that a larger payload could not reuse. `correct --jobs 2` on
+    correct_gtea's corpus then held one or two payloads more in a worker,
+    peaking at 50 or 58 MiB instead of 41.5, depending on which videos the
+    worker drew. The mapping is private: Python's default, a shared one,
+    is shared memory, which took no huge pages and made each 44 MiB
+    detect_salads load fault page by page, about 35 ms per call.
+    """
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(count * dtype.itemsize, 1),  # a mapping is never empty
+                    flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):  # as NumPy asks for its own large arrays
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype, count).reshape(shape)
+
+
 def read_array(path) -> np.ndarray:
     """Read an NPY v1.0 array, failing closed on anything unsupported.
 
@@ -214,7 +238,7 @@ def read_array(path) -> np.ndarray:
         expected = count * dtype.itemsize
         available = os.fstat(handle.fileno()).st_size - header_end
         if available >= expected:  # else a corrupt shape could ask for any size
-            arr = np.empty(shape, dtype)
+            arr = _mapped_empty(shape, dtype)
             available = handle.readinto(arr.reshape(-1).view(np.uint8))
     if available < expected:
         raise DataError(f"{path}: truncated data at byte {header_end} "

@@ -40,4 +40,6 @@ def test_traced_replay_runs(monkeypatch, tmp_path, kind):
         result = spans.replay(workload, corpus, tmp_path / "out")
     assert len(result.quality) == 6
     assert all(0.0 <= value <= 100.0 for value in result.quality.values()), result.quality
-    assert "similarity.kmeans" in {name for name, *_ in recorder.spans}
+    # correct_all clusters from Gram matrices and calls no wrapped kernel.
+    wanted = "similarity.kmeans" if kind == "detect" else "correction.correct_all"
+    assert wanted in {name for name, *_ in recorder.spans}

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -5,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from actseg import correction
 from actseg.core import (AUTO, BoundarySet, CorrectionConfig, FeatureSequence,
                          LabelSequence, boundaries_of, run_classes)
 from actseg.correction import (_MAX_ITERATIONS, BoundaryRecord, IterationProposals,
-                               _clamped_window, auto_window_params, correct_all,
+                               WindowState, _clamped_window, _kmeans2, _pair_scores,
+                               _window_grams, auto_window_params, correct_all,
                                resolve_window_params)
-from actseg.similarity import Metric, block_similarity, kmeans, transition_index
+from actseg.similarity import (_KMEANS_MAX_ITER, Metric, block_similarity, kmeans,
+                               transition_index)
 from actseg.synth import SynthSpec, generate, perturb_boundaries
 
 
@@ -202,19 +206,207 @@ def test_auto_config_runs():
     assert run_classes(out) == run_classes(noisy)
 
 
-# ------------------------------------------- oracle: the per-step scoring loop
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_frame_and_dimension_major_layouts_correct_alike(dtype):
+    # A D x T load is a transposed view and is widened in that layout; the
+    # same values in a T x D array must give the same correction.
+    feat, labels, _ = step_video([40, 44, 36, 50], dim=64, sigma=1.5, seed=9)
+    noisy = perturb_boundaries(labels, 4, seed=3)
+    values = feat.values.astype(dtype)
+    by_dim = FeatureSequence(np.ascontiguousarray(values.T).T)
+    by_frame = FeatureSequence(np.ascontiguousarray(values))
+    assert by_dim.values.strides[0] < by_dim.values.strides[1]
+    out, report = correct_all(by_frame, noisy, CorrectionConfig(16, 4))
+    assert correct_all(by_dim, noisy, CorrectionConfig(16, 4)) == (out, report)
+    assert report.moved() > 0
 
-def _reference_refine(values, start, end, b_seg, seed):
-    """Oracle for correct_all's refine loop, with no shared work: every
-    step scores its own sub-segments, and the final window is clustered
-    afresh afterwards."""
+
+def test_equal_frames_get_equal_gram_rows():
+    # A window of one repeated frame must score and cluster as one frame,
+    # so equal frames need equal rows of G, in either layout.
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        dim = int(rng.choice([1, 3, 5, 16, 64, 2048]))
+        frames = int(rng.choice([4, 8, 12, 16, 32, 64]))
+        values = rng.normal(size=(frames, dim))[rng.integers(0, frames, size=frames)]
+        equal = np.nonzero((values[:, None] == values[None]).all(axis=2))
+        for layout in (values, np.ascontiguousarray(values.T).T):
+            gram = _window_grams(layout, [WindowState(0, frames)])[0]
+            assert all(np.array_equal(gram[i], gram[j]) for i, j in zip(*equal))
+
+
+def test_lockstep_batches_of_any_size_correct_alike(monkeypatch):
+    # Windows are refined in lockstep in zero-padded batches; neither the
+    # padding nor the batch a window shares may change its record.
+    feat, labels, _ = step_video([30, 52, 24, 41, 60, 35], dim=8, sigma=1.0, seed=4)
+    noisy = perturb_boundaries(labels, 5, seed=6)
+    for cfg in (CorrectionConfig(16, 4), CorrectionConfig(24, 2), CorrectionConfig(AUTO, AUTO)):
+        want = correct_all(feat, noisy, cfg, seed=2)
+        monkeypatch.setattr(correction, "_BATCH_BYTES", 1)  # one window per batch
+        assert correct_all(feat, noisy, cfg, seed=2) == want
+        monkeypatch.undo()
+
+
+# ------------------------------- Gram scores against the D-space kernels
+
+@st.composite
+def gram_windows(draw):
+    """1-3 windows of one sub-segment width and dimension, 2-8 sub-segments
+    each, with some frames zeroed and some duplicated, exactly or nearly."""
+    b_seg = draw(st.integers(1, 8))
+    dim = draw(st.one_of(st.integers(1, 64), st.just(2048)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    windows = []
+    for _ in range(draw(st.integers(1, 3))):
+        frames = draw(st.integers(2, 8)) * b_seg
+        scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        w = rng.normal(size=(frames, dim)) * scale
+        for _ in range(draw(st.integers(0, 3))):
+            w[draw(st.integers(0, frames - 1))] = (
+                w[draw(st.integers(0, frames - 1))]
+                + draw(st.sampled_from([0.0, 1e-9])) * scale * rng.normal(size=dim))
+        for _ in range(draw(st.integers(0, 2))):
+            start = draw(st.integers(0, frames - 1))
+            w[start:start + draw(st.integers(1, 2 * b_seg))] = 0.0
+        windows.append(w)
+    return windows, b_seg
+
+
+@settings(max_examples=100, deadline=None)
+@given(gram_windows())
+def test_gram_scores_match_d_space(case):
+    # correct_all scores sub-segment pairs from zero-padded window Grams;
+    # they must agree with block_similarity on the frames themselves.
+    windows, b_seg = case
+    widths = np.array([len(w) for w in windows])
+    gram = np.zeros((len(windows), widths.max(), widths.max()))
+    for padded, w in zip(gram, windows):
+        padded[:len(w), :len(w)] = _window_grams(w, [WindowState(0, len(w))])[0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cosine, dtw = _pair_scores(gram, widths, b_seg)
+    eps = np.finfo(np.float64).eps
+    zero_norm_windows = 0
+    for w, got_cos, got_dtw in zip(windows, cosine, dtw):
+        blocks = w.reshape(-1, b_seg, w.shape[1])
+        pairs = len(blocks) - 1
+        zero = ~blocks.any(axis=(1, 2))
+        zero_pair = zero[:-1] | zero[1:]
+        zero_norm_windows += bool(zero_pair.any())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want_cos = block_similarity(blocks, Metric.COSINE)
+        assert (got_cos[:pairs][zero_pair] == 0.0).all()
+        assert np.abs(got_cos[:pairs] - want_cos).max() <= 1e-12
+        # A Gram frame cost sqrt(G_ii + G_jj - 2 G_ij) of near-identical
+        # frames can be about sqrt(D eps) |x| off, on each of a DTW path's
+        # at most 2 b_seg - 1 cells.
+        bound = (2 * b_seg - 1) * 4 * np.sqrt(w.shape[1] * eps) * np.linalg.norm(w, axis=1).max()
+        assert np.abs(got_dtw[:pairs] - block_similarity(blocks, Metric.DTW)).max() <= bound
+    assert [str(x.message) for x in caught] == \
+        ["zero-norm block in cosine similarity, scored 0.0"] * zero_norm_windows
+
+
+def test_batched_kmeans_breaks_ties_as_kmeans():
+    # Every 1-D window of 3 or 4 points in {-2, ..., 2}, in one zero-padded
+    # batch: the sums are exact, so frames equidistant from both centroids
+    # are common, and kmeans' tie rules decide them.
+    windows = [np.array(w, dtype=np.float64) for n in (3, 4)
+               for w in itertools.product(range(-2, 3), repeat=n)]
+    widths = np.array([len(w) for w in windows])
+    gram = np.zeros((len(windows), 4, 4))
+    for padded, w in zip(gram, windows):
+        padded[:len(w), :len(w)] = np.outer(w, w)
+    for seed in range(5):
+        firsts = np.array([np.random.default_rng(seed).integers(n) for n in widths])
+        got = _kmeans2(gram, widths, firsts)
+        assert not got[widths == 3, 3].any()
+        for w, labels in zip(windows, got):
+            assert labels[:len(w)].tolist() == (kmeans(w, 2, seed) == 1).tolist(), (w, seed)
+
+
+# ------------------------------------------- oracle: the per-step scoring loop
+#
+# correct_all computes every score and clustering from each window's Gram
+# matrix G = W W^T. The oracle does the same arithmetic, term by term in
+# index order, but plainly: one window and one step at a time, a scalar
+# DTW double loop and an unbatched k-means. test_gram_scores_match_d_space
+# ties the Gram scores to block_similarity.
+
+def _reference_gram(values, start, end):
+    cols = np.ascontiguousarray(np.asarray(values[start:end], dtype=np.float64).T)
+    return cols.T @ cols.copy()
+
+
+def _reference_scores(gram, start, end, b_seg):
+    """Cosine and DTW scores of the consecutive sub-segment pairs of
+    gram[start:end, start:end]."""
+    cosine, dtw = [], []
+    for left in range(start, end - b_seg, b_seg):
+        right = left + b_seg
+        dot = sq_left = sq_right = 0.0
+        for i in range(b_seg):
+            dot += gram[left + i, right + i]
+            sq_left += gram[left + i, left + i]
+            sq_right += gram[right + i, right + i]
+        denom = np.sqrt(sq_left) * np.sqrt(sq_right)
+        cosine.append(dot / denom if denom != 0.0 else 0.0)
+        acc = np.full((b_seg + 1, b_seg + 1), np.inf)
+        acc[0, 0] = 0.0
+        for i in range(b_seg):
+            for j in range(b_seg):
+                r, c = left + i, right + j
+                cost = np.sqrt(max(gram[r, r] + gram[c, c] - 2.0 * gram[r, c], 0.0))
+                acc[i + 1, j + 1] = cost + min(acc[i, j], acc[i, j + 1], acc[i + 1, j])
+        dtw.append(acc[b_seg, b_seg])
+    return cosine, dtw
+
+
+def _reference_kmeans2(gram, seed):
+    """kmeans(frames, 2, seed) of the frames whose Gram is `gram`: each
+    centroid is held as its dot with every frame and its squared norm."""
+    n = gram.shape[0]
+    diag = np.diag(gram)
+
+    def dists(centroid):
+        dot, sq = centroid
+        return np.maximum(diag + sq - 2.0 * dot, 0.0)
+
+    first = int(np.random.default_rng(seed).integers(n))
+    second = int(np.argmax(dists((gram[:, first], gram[first, first]))))
+    centroids = [(gram[:, first], gram[first, first]), (gram[:, second], gram[second, second])]
+    labels = np.argmin([dists(c) for c in centroids], axis=0)
+    for _ in range(_KMEANS_MAX_ITER):
+        for j in (0, 1):
+            members = np.flatnonzero(labels == j)
+            if members.size:
+                total = np.zeros(n)
+                for k in members:
+                    total += gram[:, k]
+                dot = total / members.size
+                sq = 0.0
+                for k in members:
+                    sq += dot[k]
+                centroids[j] = (dot, sq / members.size)
+        new_labels = np.argmin([dists(c) for c in centroids], axis=0)
+        if (new_labels == labels).all():
+            break
+        labels = new_labels
+    return labels ^ labels[0]
+
+
+def _reference_refine(gram, b_seg, seed):
+    """Oracle for one window's refinement: every step scores its own
+    sub-segments and clusters its own frames."""
+    start, end = 0, gram.shape[0]
     history = []
     while end - start > b_seg and len(history) < _MAX_ITERATIONS:
         m = (end - start) // b_seg
-        segs = values[start:end].reshape(m, b_seg, values.shape[1])
-        p_cos = int(np.argmin(block_similarity(segs, Metric.COSINE))) + 1
-        p_dtw = int(np.argmax(block_similarity(segs, Metric.DTW))) + 1
-        ones = kmeans(values[start:end], 2, seed).reshape(m, b_seg).sum(axis=1)
+        cosine, dtw = _reference_scores(gram, start, end, b_seg)
+        p_cos = int(np.argmin(cosine)) + 1
+        p_dtw = int(np.argmax(dtw)) + 1
+        clusters = _reference_kmeans2(gram[start:end, start:end], seed)
+        ones = clusters.reshape(m, b_seg).sum(axis=1)
         p_clu = transition_index(2 * ones > b_seg)
         history.append(IterationProposals(p_cos, p_dtw, p_clu))
         proposals = [p_cos, p_dtw] + ([p_clu] if p_clu is not None else [])
@@ -226,8 +418,12 @@ def _reference_refine(values, start, end, b_seg, seed):
         elif end - start > 2 * b_seg:
             start, end = start + b_seg, end - b_seg
         else:
-            break
-    return start, end, tuple(history)
+            idx = transition_index(clusters)
+            return None if idx is None else start + idx, tuple(history)
+    if end - start < 2:
+        return None, tuple(history)
+    idx = transition_index(_reference_kmeans2(gram[start:end, start:end], seed))
+    return None if idx is None else start + idx, tuple(history)
 
 
 def _reference_correct_all(feat, labels, cfg, seed):
@@ -242,12 +438,8 @@ def _reference_correct_all(feat, labels, cfg, seed):
             records.append(BoundaryRecord(boundary, boundary, ()))
             continue
         ws, we = window.start, window.end
-        start, end, history = _reference_refine(feat.values, ws, we, b_seg, seed)
-        corrected = boundary
-        if end - start >= 2:
-            idx = transition_index(kmeans(feat.values[start:end], 2, seed))
-            if idx is not None:
-                corrected = start + idx
+        offset, history = _reference_refine(_reference_gram(feat.values, ws, we), b_seg, seed)
+        corrected = boundary if offset is None else ws + offset
         records.append(BoundaryRecord(boundary, corrected, history, window))
         out[ws:min(corrected, we)] = original[boundary - 1]
         out[max(corrected, ws):we] = original[boundary]

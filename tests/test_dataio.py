@@ -1,3 +1,4 @@
+import mmap
 import os
 import tracemalloc
 
@@ -227,7 +228,13 @@ def test_load_features_keeps_the_payload_it_reads(tmp_path):
     finally:
         tracemalloc.stop()
     assert feat.values.dtype == np.float32 and feat.values.shape == (300, 2048)
-    assert peak < 1.2 * 2048 * 300 * 4
+    # The payload sits in an anonymous mapping of its own, which tracemalloc
+    # does not trace, so any traced copy of it would show.
+    base = feat.values
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
+    assert peak < 0.2 * 2048 * 300 * 4
 
 
 @st.composite

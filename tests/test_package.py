@@ -103,6 +103,23 @@ def test_only_dataio_opens_or_renames_files():
     assert {name: found for name, found in writers.items() if found} == {}
 
 
+def _d_space_kernel_calls(tree: ast.Module) -> list[str]:
+    """Calls of kmeans, block_similarity or transition_index, by name or attribute."""
+    kernels = ("kmeans", "block_similarity", "transition_index")
+    return [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name) and node.func.id in kernels
+                 or isinstance(node.func, ast.Attribute) and node.func.attr in kernels)]
+
+
+def test_correction_runs_no_d_space_kernel():
+    # correct_all scores and clusters every window from its Gram matrix; a
+    # kernel call would bring back a D-wide pass per step.
+    calls = {name: _d_space_kernel_calls(ast.parse((PACKAGE / name).read_text(), name))
+             for name in ("correction.py", "detect.py")}
+    assert calls["correction.py"] == []
+    assert calls["detect.py"]  # the scan sees detect's own calls
+
+
 def _process_machinery(tree: ast.Module) -> set[str]:
     """Imports of multiprocessing, concurrent or threading, and uses of
     os.fork, os._exit or os.set_blocking."""
